@@ -20,14 +20,12 @@ import sys
 from fractions import Fraction
 
 from .constants import (DEFAULT_TERM_CAP, ConstantReport, LambdaDegenerateError,
-                        NonIntegerQuotientError, TermCapExceeded,
-                        alternating_sum, closed_form_expr, constant_closed_form,
-                        default_lambda, lambda_candidates, levi_data,
-                        levi_k_poly)
+                        NonIntegerQuotientError, TermCapExceeded, _constant,
+                        closed_form_expr, constant_closed_form,
+                        lambda_candidates, levi_data)
 from .orbits import dominant_h, orbit_partition, real_forms, weighted_dynkin
 from .rootsys import GroupCase, build_root_system
 from .verify import run_all
-from .weylpoly import eval_dim_poly
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -131,21 +129,12 @@ def cmd_real_forms(args) -> int:
 def _constant_report(case, form, method, term_cap, workers, seed) -> ConstantReport:
     c_closed = constant_closed_form(case, form)
     if method == "closed":
-        return ConstantReport(form, None, c_closed, (), 0, 0)
-    rs = build_root_system(case)
-    levi = levi_data(rs, form.h)
-    plk_poly = levi_k_poly(rs, levi)
-    lam = default_lambda(case, form)
-    if eval_dim_poly(plk_poly, lam) == 0:
-        # retry with resampled shifts before giving up
-        lam = lambda_candidates(case, form, count=1, seed=seed,
-                                require_default=False)[-1]
-    lhs, nonzero, count = alternating_sum(rs, levi, lam, "orig", term_cap,
-                                          workers)
-    c = lhs / eval_dim_poly(plk_poly, lam)
-    if c.denominator != 1:
-        raise NonIntegerQuotientError(f"{case} form {form.index}")
-    return ConstantReport(form, int(c), c_closed, (lam,), count, nonzero)
+        return ConstantReport(form, c_closed)
+    # lambda_0, or a resampled shift when lambda_0 is degenerate
+    lam = lambda_candidates(case, form, count=1, seed=seed,
+                            require_default=False)[0]
+    return ConstantReport(form, c_closed,
+                          _constant(case, form, lam, "orig", term_cap, workers))
 
 
 def cmd_constant(args) -> int:
@@ -166,12 +155,12 @@ def cmd_constant(args) -> int:
                      "h": _json_weight(r.form.h),
                      "N": _big_n(case, r.form),
                      "cClosed": r.c_closed}
-            if r.c_brute is not None:
+            if r.evaluation is not None:
                 entry["cBrute"] = r.c_brute
                 entry["agree"] = r.agree
-                entry["lambdaUsed"] = [_json_weight(l) for l in r.lambdas_used]
-                entry["termCount"] = r.term_count
-                entry["survivingTermCount"] = r.surviving_term_count
+                entry["lambdaUsed"] = [_json_weight(r.evaluation.lam)]
+                entry["termCount"] = r.evaluation.subsets
+                entry["survivingTermCount"] = r.evaluation.nonzero
             doc["forms"].append(entry)
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 1 if disagree else 0
@@ -300,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         return args.func(args)
     except (ValueError, TermCapExceeded, LambdaDegenerateError) as exc:

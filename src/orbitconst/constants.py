@@ -82,13 +82,46 @@ class LeviData:
 
 
 @dataclass(frozen=True)
-class ConstantReport:
+class Evaluation:
+    """Both sides of the defining equation for one form at ``lam``.
+
+    ``lhs``: the alternating sum.  ``plk``: P_{L&K}(lam).  ``nonzero`` and
+    ``subsets``: the nonzero terms and all terms of the sum.
+    """
+
+    case: GroupCase
     form: RealForm
-    c_brute: int | None
+    lam: Weight
+    lhs: Fraction
+    plk: Fraction
+    nonzero: int
+    subsets: int
+
+    @property
+    def constant(self) -> int:
+        """The exact integer c = LHS / P_{L&K}(lam)."""
+        where = f"{self.case} form {self.form.index}"
+        if self.plk == 0:
+            raise LambdaDegenerateError(
+                f"P_LK vanishes at lambda={self.lam} for {where}")
+        c = self.lhs / self.plk
+        if c.denominator != 1:
+            raise NonIntegerQuotientError(
+                f"LHS / P_LK = {c} is not an integer for {where}")
+        return int(c)
+
+
+@dataclass(frozen=True)
+class ConstantReport:
+    """Closed form of a form, with its brute-force evaluation if one was run."""
+
+    form: RealForm
     c_closed: int
-    lambdas_used: tuple[Weight, ...]
-    term_count: int
-    surviving_term_count: int
+    evaluation: Evaluation | None = None
+
+    @property
+    def c_brute(self) -> int | None:
+        return None if self.evaluation is None else self.evaluation.constant
 
     @property
     def agree(self) -> bool:
@@ -274,20 +307,17 @@ def _as_weight(lam: Sequence) -> Weight:
 
 
 def _constant(case: GroupCase, form: RealForm | int, lam: Sequence | None,
-              variant: str, term_cap: int, workers: int) -> int:
+              variant: str, term_cap: int, workers: int) -> Evaluation:
+    """The one evaluation pipeline: root system, Levi data, P_{L&K}(lam) and
+    the alternating sum, at lambda_0 when ``lam`` is None."""
     rs = build_root_system(case)
     form = form if isinstance(form, RealForm) else get_form(case, form)
     lam = _as_weight(lam) if lam is not None else default_lambda(case, form)
     levi = levi_data(rs, form.h)
     plk = eval_dim_poly(levi_k_poly(rs, levi), lam)
-    if plk == 0:
-        raise LambdaDegenerateError(f"P_LK vanishes at lambda={lam}")
-    lhs, _, _ = alternating_sum(rs, levi, lam, variant, term_cap, workers)
-    c = lhs / plk
-    if c.denominator != 1:
-        raise NonIntegerQuotientError(
-            f"LHS / P_LK = {c} is not an integer for {case} form {form.index}")
-    return int(c)
+    lhs, nonzero, subsets = alternating_sum(rs, levi, lam, variant, term_cap,
+                                            workers)
+    return Evaluation(case, form, lam, lhs, plk, nonzero, subsets)
 
 
 def constant_brute_force_orig(case: GroupCase, form: RealForm | int,
@@ -295,7 +325,7 @@ def constant_brute_force_orig(case: GroupCase, form: RealForm | int,
                               term_cap: int = DEFAULT_TERM_CAP,
                               workers: int = 1) -> int:
     """c from the defining alternating sum, original form."""
-    return _constant(case, form, lam, "orig", term_cap, workers)
+    return _constant(case, form, lam, "orig", term_cap, workers).constant
 
 
 def constant_brute_force_v2(case: GroupCase, form: RealForm | int,
@@ -303,7 +333,7 @@ def constant_brute_force_v2(case: GroupCase, form: RealForm | int,
                             term_cap: int = DEFAULT_TERM_CAP,
                             workers: int = 1) -> int:
     """c from the rewritten sum (requires rho_n(l) orthogonality)."""
-    return _constant(case, form, lam, "v2", term_cap, workers)
+    return _constant(case, form, lam, "v2", term_cap, workers).constant
 
 
 def brute_force_sum(case: GroupCase, form: RealForm | int,
@@ -311,12 +341,7 @@ def brute_force_sum(case: GroupCase, form: RealForm | int,
                     term_cap: int = DEFAULT_TERM_CAP,
                     workers: int = 1) -> Fraction:
     """Raw LHS of the defining equation (not divided by P_{L&K})."""
-    rs = build_root_system(case)
-    form = form if isinstance(form, RealForm) else get_form(case, form)
-    lam = _as_weight(lam) if lam is not None else default_lambda(case, form)
-    levi = levi_data(rs, form.h)
-    lhs, _, _ = alternating_sum(rs, levi, lam, variant, term_cap, workers)
-    return lhs
+    return _constant(case, form, lam, variant, term_cap, workers).lhs
 
 
 # ---------------------------------------------------------------------------
@@ -443,73 +468,61 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
 # closed forms
 
 
-def constant_closed_form(case: GroupCase, form: RealForm | int) -> int:
-    """Exact closed-form value of the constant for this real form."""
+def _closed_form_spec(case: GroupCase, form: RealForm | int):
+    """The closed form c = (-1)^e * magnitude as (e, magnitude), or None for 0.
+
+    The magnitude is a pair (a, b) for the binomial C(a, b), or an int k for
+    2^k.  Both renderings below read this one spec.
+    """
     form = form if isinstance(form, RealForm) else get_form(case, form)
     p, q, n = case.p, case.q, case.n
     k = form.kind
     if case.family == "su":
-        return (-1) ** (k * (p + q - k)) * math.comb(p, k)
+        return k * (p + q - k), (p, k)
     if case.family == "sp":
         if n % 2 == 0 and k % 2 == 1:
-            return 0
+            return None
         r, s = k // 2, (n - k) // 2
-        return (-1) ** ((k + 1) // 2) * math.comb(r + s, r)
+        return (k + 1) // 2, (r + s, r)
     if case.family == "so-star":
         r = k // 2
         s = (n - k) // 2 if n % 2 == 0 else (n - 1 - k) // 2
-        return (-1) ** (k // 2) * math.comb(r + s, r)
+        return k // 2, (r + s, r)
     if case.family == "so-odd":
-        if k == 1:
-            return (-1) ** ((p + 1) // 2) * 2 ** (2 * p - 2)
-        if k == 2:
-            return -((-1) ** ((p + 1) // 2)) * 2 ** (2 * p - 2)
-        return 0
+        if k == 3:
+            return None
+        return (p + 1) // 2 + (1 if k == 2 else 0), 2 * p - 2
     # so-even
     if k in (1, 2):
-        return (-1) ** (p // 2) * 2 ** (2 * p - 2)
-    power = 2 * p - 1 if (k == 3 and q > p) else 2 * p - 2
-    return (-1) ** ((p + 1) // 2) * 2 ** power
+        return p // 2, 2 * p - 2
+    return (p + 1) // 2, (2 * p - 1 if (k == 3 and q > p) else 2 * p - 2)
+
+
+def constant_closed_form(case: GroupCase, form: RealForm | int) -> int:
+    """Exact closed-form value of the constant for this real form."""
+    spec = _closed_form_spec(case, form)
+    if spec is None:
+        return 0
+    sign, magnitude = spec
+    if isinstance(magnitude, tuple):
+        return (-1) ** sign * math.comb(*magnitude)
+    return (-1) ** sign * 2 ** magnitude
 
 
 def closed_form_expr(case: GroupCase, form: RealForm | int,
                      latex: bool = False) -> str:
     """Human-readable instantiated closed form, for table output."""
-    form = form if isinstance(form, RealForm) else get_form(case, form)
-    p, q, n = case.p, case.q, case.n
-    k = form.kind
-
-    def binom(a, b):
-        return rf"\binom{{{a}}}{{{b}}}" if latex else f"C({a},{b})"
-
-    def sgn(e):
-        return rf"(-1)^{{{e}}}" if latex else f"(-1)^{e}"
-
-    def pw(e):
-        return rf"2^{{{e}}}" if latex else f"2^{e}"
-
-    times = r" \cdot " if latex else "*"
-    if case.family == "su":
-        return f"{sgn(k * (p + q - k))}{times}{binom(p, k)}"
-    if case.family == "sp":
-        if n % 2 == 0 and k % 2 == 1:
-            return "0"
-        r, s = k // 2, (n - k) // 2
-        return f"{sgn((k + 1) // 2)}{times}{binom(r + s, r)}"
-    if case.family == "so-star":
-        r = k // 2
-        s = (n - k) // 2 if n % 2 == 0 else (n - 1 - k) // 2
-        return f"{sgn(k // 2)}{times}{binom(r + s, r)}"
-    if case.family == "so-odd":
-        if k == 1:
-            return f"{sgn((p + 1) // 2)}{times}{pw(2 * p - 2)}"
-        if k == 2:
-            return f"{sgn((p + 1) // 2 + 1)}{times}{pw(2 * p - 2)}"
+    spec = _closed_form_spec(case, form)
+    if spec is None:
         return "0"
-    if k in (1, 2):
-        return f"{sgn(p // 2)}{times}{pw(2 * p - 2)}"
-    power = 2 * p - 1 if (k == 3 and q > p) else 2 * p - 2
-    return f"{sgn((p + 1) // 2)}{times}{pw(power)}"
+    sign, magnitude = spec
+    if latex:
+        value = (r"\binom{%d}{%d}" % magnitude if isinstance(magnitude, tuple)
+                 else f"2^{{{magnitude}}}")
+        return rf"(-1)^{{{sign}}} \cdot {value}"
+    value = ("C(%d,%d)" % magnitude if isinstance(magnitude, tuple)
+             else f"2^{magnitude}")
+    return f"(-1)^{sign}*{value}"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, _prepare_enumeration,
                         _scale_for, default_lambda, levi_data, levi_k_poly)
 from .orbits import RealForm, get_form
-from .rootsys import GroupCase, Root, Weight, build_root_system
+from .rootsys import GroupCase, Root, Weight, _e2, build_root_system
 from .weylpoly import eval_dim_poly, make_dim_poly
 
 
@@ -32,13 +32,6 @@ class SurvivingTerm:
     c_set: tuple[Root, ...]
     weight: Weight
     value: Fraction
-
-
-def _e2(rank: int, i: int, ci: int, j: int, cj: int) -> Root:
-    v = [0] * rank
-    v[i] = ci
-    v[j] = cj
-    return tuple(v)
 
 
 def surviving_terms(case: GroupCase, form: RealForm | int,

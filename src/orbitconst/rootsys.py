@@ -47,6 +47,12 @@ class GroupCase:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("p", "q", "n"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)):
+                raise TypeError(f"{self.family} parameter {name} must be an "
+                                f"int, got {value!r}")
         if self.family in ("su", "so-odd", "so-even"):
             if self.p is None or self.q is None or self.n is not None:
                 raise ValueError(f"{self.family} takes parameters p and q")

@@ -2,60 +2,30 @@
 
 Each criterion function returns a dict with at least ``name``, ``passed`` and
 ``details``.  ``run_all`` executes them in order and assembles a
-machine-readable report; the CLI ``verify`` command serializes it.  Results of
-the expensive alternating sums are memoized per (case, form, lambda, variant)
-so overlapping criteria do not recompute them.
+machine-readable report; the CLI ``verify`` command serializes it.
+Evaluations are memoized by ``cached_constant`` on every argument of the
+pipeline, so overlapping criteria do not recompute them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
 
 from . import constants, oracles
-from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, alternating_sum,
-                        auto_sign_relation, constant_closed_form,
-                        default_lambda, lambda_candidates, levi_data,
-                        levi_k_poly, rho_n_orthogonal, sign_flip_sigma)
+from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, auto_sign_relation,
+                        constant_closed_form, default_lambda,
+                        lambda_candidates, levi_data, rho_n_orthogonal,
+                        sign_flip_sigma)
 from .orbits import real_forms
 from .rootsys import (GroupCase, build_root_system, type_b_positive_roots,
                       type_d_positive_roots)
 from .weylpoly import eval_dim_poly, make_dim_poly
 
-_sum_cache: dict = {}
-
-
-def _case_key(case: GroupCase):
-    return (case.family, case.p, case.q, case.n)
-
-
-def cached_sum(case: GroupCase, form, lam, variant, term_cap=DEFAULT_TERM_CAP,
-               workers: int = 1, use_cache: bool = True):
-    """Memoized (LHS, nonzero, total) of the alternating sum."""
-    key = (_case_key(case), form.index, tuple(lam), variant)
-    if use_cache and key in _sum_cache:
-        return _sum_cache[key]
-    rs = build_root_system(case)
-    levi = levi_data(rs, form.h)
-    result = alternating_sum(rs, levi, lam, variant, term_cap, workers)
-    if use_cache:
-        _sum_cache[key] = result
-    return result
-
-
-def cached_constant(case: GroupCase, form, lam, variant="orig",
-                    term_cap=DEFAULT_TERM_CAP, workers=1, use_cache=True) -> int:
-    rs = build_root_system(case)
-    levi = levi_data(rs, form.h)
-    plk = eval_dim_poly(levi_k_poly(rs, levi), lam)
-    if plk == 0:
-        raise constants.LambdaDegenerateError(str(lam))
-    lhs, _, _ = cached_sum(case, form, lam, variant, term_cap, workers, use_cache)
-    c = lhs / plk
-    if c.denominator != 1:
-        raise constants.NonIntegerQuotientError(f"{case} form {form.index}: {c}")
-    return int(c)
+# (case, form, lam, variant, term_cap, workers) -> Evaluation
+cached_constant = functools.lru_cache(maxsize=None)(constants._constant)
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
@@ -82,8 +52,7 @@ def _fmt_h(h) -> str:
 
 
 def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
-                            workers=1, use_cache=True,
-                            inject_fault=False) -> list[dict]:
+                            workers=1, inject_fault=False) -> list[dict]:
     """Brute-force vs closed-form for every form of every in-range case."""
     rows = []
     first = True
@@ -96,7 +65,7 @@ def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
             row["cClosed"] = c_closed
             try:
                 c_brute = cached_constant(case, form, default_lambda(case, form),
-                                          "orig", term_cap, workers, use_cache)
+                                          "orig", term_cap, workers).constant
             except TermCapExceeded as exc:
                 row["skipped"] = f"term cap: needs {exc.required} subsets"
                 rows.append(row)
@@ -111,9 +80,8 @@ def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
 
 
 def criterion_1(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
-                use_cache=True, inject_fault=False) -> dict:
-    rows = table_reproduction_rows(max_rank, term_cap, workers, use_cache,
-                                   inject_fault)
+                inject_fault=False) -> dict:
+    rows = table_reproduction_rows(max_rank, term_cap, workers, inject_fault)
     checked = [r for r in rows if "agree" in r]
     bad = [r for r in checked if not r["agree"]]
     skipped = [r for r in rows if "skipped" in r]
@@ -145,27 +113,33 @@ def criterion_2() -> dict:
             "passed": not bad, "details": {"failures": bad}}
 
 
+def _details(failures, skipped) -> dict:
+    """Failures, plus the forms over the term cap when there are any."""
+    return {"failures": failures, **({"skipped": skipped} if skipped else {})}
+
+
 def criterion_3(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 seed=0) -> dict:
     """Three distinct evaluation points give one and the same integer."""
-    bad = []
+    bad, skipped = [], []
     for case in acceptance_cases(max_rank):
         for form in real_forms(case):
             try:
                 lams = lambda_candidates(case, form, count=3, seed=seed)
                 values = {cached_constant(case, form, lam, "orig", term_cap,
-                                          workers) for lam in lams}
+                                          workers).constant for lam in lams}
             except TermCapExceeded:
+                skipped.append(f"{case} form {form.index}")
                 continue
             if len(values) != 1:
                 bad.append((str(case), form.index, sorted(values)))
     return {"id": 3, "name": "lambda-independence of the brute-force constant",
-            "passed": not bad, "details": {"failures": bad}}
+            "passed": not bad, "details": _details(bad, skipped)}
 
 
 def criterion_4(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
     """Original and rewritten sums agree; orthogonality holds throughout."""
-    bad = []
+    bad, skipped = [], []
     for case in acceptance_cases(max_rank):
         rs = build_root_system(case)
         for form in real_forms(case):
@@ -175,14 +149,17 @@ def criterion_4(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
                 continue
             lam = default_lambda(case, form)
             try:
-                orig = cached_constant(case, form, lam, "orig", term_cap, workers)
-                v2 = cached_constant(case, form, lam, "v2", term_cap, workers)
+                orig = cached_constant(case, form, lam, "orig", term_cap,
+                                       workers).constant
+                v2 = cached_constant(case, form, lam, "v2", term_cap,
+                                     workers).constant
             except TermCapExceeded:
+                skipped.append(f"{case} form {form.index}")
                 continue
             if orig != v2:
                 bad.append((str(case), form.index, (orig, v2)))
     return {"id": 4, "name": "formula equivalence and rho_n orthogonality",
-            "passed": not bad, "details": {"failures": bad}}
+            "passed": not bad, "details": _details(bad, skipped)}
 
 
 def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
@@ -196,7 +173,8 @@ def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
                 continue
             form = next(f for f in real_forms(case) if f.kind == 3)
             for lam in lambda_candidates(case, form, count=3, seed=seed):
-                lhs, _, _ = cached_sum(case, form, lam, "orig", term_cap, workers)
+                lhs = cached_constant(case, form, lam, "orig", term_cap,
+                                      workers).lhs
                 if lhs != 0:
                     bad.append((str(case), [str(x) for x in lam], str(lhs)))
     return {"id": 5, "name": "vanishing sum for the third so-odd form",
@@ -318,8 +296,7 @@ def criterion_9(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """Byte-identical reports for 1, 4 and 8 workers."""
     blobs = []
     for workers in (1, 4, 8):
-        rows = table_reproduction_rows(max_rank, term_cap, workers,
-                                       use_cache=False)
+        rows = table_reproduction_rows(max_rank, term_cap, workers)
         blobs.append(json.dumps({"rows": rows}, sort_keys=True,
                                 separators=(",", ":")).encode())
     passed = blobs[0] == blobs[1] == blobs[2]

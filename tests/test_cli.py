@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from orbitconst.cli import main
 
 
@@ -155,3 +157,15 @@ def test_verify_inject_fault(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "2", "--inject-fault")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    # rejected while parsing, before any sum or process pool starts
+    for argv in (["constant", "--group", "sp", "--n", "2"],
+                 ["verify", "--max-rank", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--workers", workers])
+        assert info.value.code == 2
+        assert f"--workers must be at least 1, got {workers}" in \
+            capsys.readouterr().err

@@ -1,14 +1,18 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         TermCapExceeded, auto_sign_relation, brute_force_sum,
-                        build_root_system, constant_brute_force_orig,
-                        constant_brute_force_v2, constant_closed_form,
-                        default_lambda, eval_dim_poly, get_form,
-                        lambda_candidates, levi_data, levi_k_poly, make_dim_poly,
-                        real_forms, rho_n_orthogonal, sign_flip_sigma)
+                        build_root_system, closed_form_expr,
+                        constant_brute_force_orig, constant_brute_force_v2,
+                        constant_closed_form, default_lambda, eval_dim_poly,
+                        get_form, lambda_candidates, levi_data, levi_k_poly,
+                        make_dim_poly, real_forms, rho_n_orthogonal,
+                        sign_flip_sigma)
+from orbitconst.verify import acceptance_cases
 
 
 def _levi(case, index):
@@ -179,6 +183,30 @@ def test_closed_form_values():
         [1, -1, -2, 2, 1, -1]
     with pytest.raises(ValueError):
         constant_closed_form(GroupCase.sp(2), 4)
+
+
+_TEXT = re.compile(r"\(-1\)\^(\d+)\*(?:C\((\d+),(\d+)\)|2\^(\d+))")
+_LATEX = re.compile(
+    r"\(-1\)\^\{(\d+)\} \\cdot (?:\\binom\{(\d+)\}\{(\d+)\}|2\^\{(\d+)\})")
+
+
+def _evaluate(pattern, expr):
+    """Value of a rendered closed form: 0, (-1)^e*C(a,b) or (-1)^e*2^k."""
+    if expr == "0":
+        return 0
+    sign, a, b, k = pattern.fullmatch(expr).groups()
+    magnitude = math.comb(int(a), int(b)) if k is None else 2 ** int(k)
+    return (-1) ** int(sign) * magnitude
+
+
+def test_rendered_closed_forms_evaluate_to_the_constant():
+    forms = [(case, form) for case in acceptance_cases()
+             for form in real_forms(case)]
+    assert len(forms) == 123
+    for case, form in forms:
+        c = constant_closed_form(case, form)
+        assert _evaluate(_TEXT, closed_form_expr(case, form)) == c
+        assert _evaluate(_LATEX, closed_form_expr(case, form, latex=True)) == c
 
 
 def test_closed_form_matches_brute_on_spread():

@@ -22,6 +22,16 @@ def test_case_validation():
     assert GroupCase.su(2, 3).rank == 5
 
 
+def test_case_rejects_parameters_that_are_not_int():
+    makers = (lambda v: GroupCase.su(v, 3), lambda v: GroupCase.su(1, v),
+              lambda v: GroupCase.so_odd(v, 2), lambda v: GroupCase.so_even(1, v),
+              GroupCase.sp, GroupCase.so_star)
+    for bad in (True, False, 2.0, Fraction(2), "2"):
+        for make in makers:
+            with pytest.raises(TypeError):
+                make(bad)
+
+
 def test_sp2_positive_and_compact():
     rs = build_root_system(GroupCase.sp(2))
     assert set(rs.positive) == {(1, -1), (1, 1), (2, 0), (0, 2)}

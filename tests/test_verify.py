@@ -1,0 +1,43 @@
+"""The memo behind the criteria, and the forms they skip over the term cap."""
+
+from orbitconst import verify
+from orbitconst.constants import levi_data
+from orbitconst.orbits import real_forms
+from orbitconst.rootsys import build_root_system
+
+CAP = 16
+
+
+def _over_cap(max_rank):
+    """Forms whose sum runs over more than CAP subsets, by their pool sizes."""
+    out = []
+    for case in verify.acceptance_cases(max_rank):
+        rs = build_root_system(case)
+        for form in real_forms(case):
+            levi = levi_data(rs, form.h)
+            if 1 << (len(levi.delta_n_plus_l) + len(levi.delta_p1)) > CAP:
+                out.append(f"{case} form {form.index}")
+    return out
+
+
+def test_term_cap_is_honoured_after_a_full_cap_run():
+    expected = _over_cap(4)
+    assert len(expected) == 4
+    verify.cached_constant.cache_clear()
+    cold = verify.criterion_1(max_rank=4, term_cap=CAP)["details"]["skipped"]
+    verify.criterion_1(max_rank=4)
+    warm = verify.criterion_1(max_rank=4, term_cap=CAP)["details"]["skipped"]
+    assert cold == warm == expected
+
+
+def test_criteria_3_and_4_list_the_forms_they_skip():
+    expected = _over_cap(4)
+    for criterion in (verify.criterion_3, verify.criterion_4):
+        result = criterion(max_rank=4, term_cap=CAP)
+        assert result["details"]["skipped"] == expected, result["name"]
+        assert result["details"]["failures"] == []
+
+
+def test_skipped_is_absent_when_nothing_is_skipped():
+    for criterion in (verify.criterion_3, verify.criterion_4):
+        assert "skipped" not in criterion(max_rank=3)["details"]
