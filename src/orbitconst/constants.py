@@ -18,9 +18,13 @@ equivalent second form drops the rho_n shift:
 
 Evaluation is exact: weights are scaled to integer vectors, each subset term
 is an integer product, and the single division at the end is checked to be an
-exact integer.  Subsets are enumerated by a binary counter walked in Gray-code
-order, patching only the product factors the toggled root touches; the range
-of counter values can be split across worker processes, and the result is
+exact integer.  The sum over subsets is a dynamic program over partial sums:
+the pool roots are added one at a time to a map from each distinct partial
+weight vector to its signed and unsigned subset counts, so subsets with equal
+partial sums are merged.  A state is dropped once a P_K factor that no later
+root changes is zero, the states split into independent classes once a
+coordinate is final, and the factor product is taken only at the states left
+at the end.  The walk can be shared among worker processes, and the result is
 bit-identical for any worker count because every partial sum is an exact
 integer.
 """
@@ -28,11 +32,12 @@ integer.
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .orbits import RealForm, get_form, real_forms
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
@@ -168,72 +173,211 @@ def _pack_roots(roots: Sequence[Root]) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(packed)
 
 
-def _sum_range(base: Sequence[int], deltas: Sequence[Sequence[int]],
-               packed: Sequence[tuple[int, int, int, int]],
-               lo: int, hi: int) -> tuple[int, int]:
-    """Signed sum of factor products over subset-counter values in [lo, hi).
+class _Plan(NamedTuple):
+    """A fixed walk over the pool roots, with weight vectors packed into ints.
 
-    The subset at counter value i is gray(i) = i ^ (i >> 1); stepping the
-    counter toggles exactly one pool element, so the running weight vector and
-    the affected product factors are patched in place.  Returns the signed
-    integer sum and the number of nonzero terms.
+    Coordinate i of a vector v is the digit v_i + bound at bit offset
+    width * i, so adding root ``steps[pos]`` is one int addition.  After
+    ``pos`` roots: ``prune[pos - 1]`` tests the factors no later root changes;
+    ``cut[pos]`` masks the digits no later root changes; where ``splits[pos]``,
+    the states are split into classes by those digits and ``group_tests[pos]``
+    (factors on those digits alone) run once per class; ``fixed[pos]`` holds
+    the factors constant within such a class and the rest.
+
+    A factor test (si, ci, sj, cj, target) gives the compact factor
+    ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
+    where digit(s) = (key >> s) & mask; a factor on one coordinate has cj = 0.
     """
-    m = len(deltas)
-    g = lo ^ (lo >> 1)
-    cur = list(base)
-    for t in range(m):
-        if (g >> t) & 1:
-            for k, d in enumerate(deltas[t]):
-                cur[k] += d
+
+    base: int
+    steps: tuple[int, ...]
+    prune: tuple[tuple, ...]
+    cut: tuple[int, ...]
+    splits: tuple[bool, ...]
+    group_tests: tuple[tuple, ...]
+    fixed: tuple[tuple[tuple, tuple], ...]
+    mask: int
+
+
+def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
+          packed: Sequence[tuple[int, int, int, int]]) -> _Plan | None:
+    """The walk for one sum, or None when a factor no root changes is zero.
+
+    Roots are ordered by repeatedly taking every remaining root that touches
+    the coordinate with the fewest remaining roots, so coordinates finish,
+    and classes split, early.
+    """
+    rank, m = len(base), len(deltas)
+    bound = max((abs(b) + sum(abs(d[i]) for d in deltas)
+                 for i, b in enumerate(base)), default=0)
+    width = (2 * bound + 1).bit_length()
+    mask = (1 << width) - 1
+    remaining, order = list(range(m)), []
+    while remaining:
+        touching: dict[int, list[int]] = {}
+        for t in remaining:
+            for i, d in enumerate(deltas[t]):
+                if d:
+                    touching.setdefault(i, []).append(t)
+        taken = min(touching.values(), key=len)
+        order += taken
+        remaining = [t for t in remaining if t not in taken]
+    # done[i]: the number of roots after which coordinate i no longer changes
+    done = [1 + max((pos for pos, t in enumerate(order) if deltas[t][i]),
+                    default=-1) for i in range(rank)]
+    splits = tuple(0 < pos < m and pos in done for pos in range(m + 1))
+    prune: list[list] = [[] for _ in range(m)]
+    group_tests: list[list] = [[] for _ in range(m + 1)]
     factors = []
-    prod = 1
-    nzero = 0
     for (i, ci, j, cj) in packed:
-        v = ci * cur[i] + (cj * cur[j] if j >= 0 else 0)
-        factors.append(v)
-        if v == 0:
-            nzero += 1
+        if j < 0:
+            j, cj = i, 0
+        frozen = 1 + max((pos for pos, t in enumerate(order)
+                          if ci * deltas[t][i] + cj * deltas[t][j]), default=-1)
+        if frozen == 0 and ci * base[i] + cj * base[j] == 0:
+            return None
+        test = (width * i, ci, width * j, cj, (ci + cj) * bound)
+        finished = max(done[i], done[j])
+        if frozen and splits[frozen] and finished == frozen:
+            group_tests[frozen].append(test)
+        elif frozen:
+            prune[frozen - 1].append(test)
+        factors.append((finished, test))
+    cut = tuple(sum(mask << (width * i) for i in range(rank) if done[i] <= pos)
+                for pos in range(m + 1))
+    fixed = tuple((tuple(t for f, t in factors if f <= pos),
+                   tuple(t for f, t in factors if f > pos))
+                  for pos in range(m + 1))
+    key = sum((b + bound) << (width * i) for i, b in enumerate(base))
+    steps = tuple(sum(d << (width * i) for i, d in enumerate(deltas[t]))
+                  for t in order)
+    return _Plan(key, steps, tuple(map(tuple, prune)), cut, splits,
+                 tuple(map(tuple, group_tests)), fixed, mask)
+
+
+def _advance(states: dict, step: int, prune: tuple, mask: int) -> dict:
+    """Add one root to every subset; drop states with a frozen zero factor.
+
+    ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
+    """
+    out = dict(states)
+    get = out.get
+    for key, (signed, count) in states.items():
+        new = key + step
+        old = get(new)
+        out[new] = ((-signed, count) if old is None
+                    else (old[0] - signed, old[1] + count))
+    for (si, ci, sj, cj, target) in prune:
+        for key in [k for k in out if ci * ((k >> si) & mask)
+                    + cj * ((k >> sj) & mask) == target]:
+            del out[key]
+    return out
+
+
+def _split(states: dict, plan: _Plan, pos: int) -> list[dict]:
+    """Split into classes by the finished digits; drop the zero classes."""
+    cut, mask = plan.cut[pos], plan.mask
+    classes: dict[int, dict] = {}
+    for key, value in states.items():
+        classes.setdefault(key & cut, {})[key] = value
+    return [cls for k, cls in classes.items()
+            if all(ci * ((k >> si) & mask) + cj * ((k >> sj) & mask) != target
+                   for (si, ci, sj, cj, target) in plan.group_tests[pos])]
+
+
+def _classes(states: dict, plan: _Plan, pos: int, stop: int):
+    """Split ``states`` by the digits finished after ``pos`` roots and walk
+    each class on to root ``stop``, splitting again where digits finish.
+
+    Yields (start, states): the states share every digit finished after
+    ``start`` roots.  States of different classes never merge again.
+    """
+    for states in _split(states, plan, pos):
+        for at in range(pos, stop):
+            states = _advance(states, plan.steps[at], plan.prune[at],
+                              plan.mask)
+            if not states:
+                break
+            if plan.splits[at + 1]:
+                yield from _classes(states, plan, at + 1, stop)
+                break
         else:
-            prod *= v
-    affected = []
-    for t in range(m):
-        dv = deltas[t]
-        row = [(k, d) for k, d in
-               ((k, ci * dv[i] + (cj * dv[j] if j >= 0 else 0))
-                for k, (i, ci, j, cj) in enumerate(packed)) if d]
-        affected.append(tuple(row))
-    sign = -1 if g.bit_count() & 1 else 1
-    total = 0
-    nonzero_terms = 0
-    if nzero == 0:
-        total = prod if sign > 0 else -prod
-        nonzero_terms = 1
-    for idx in range(lo + 1, hi):
-        t = (idx & -idx).bit_length() - 1
-        bit = 1 << t
-        g ^= bit
-        adding = (g & bit) != 0
-        sign = -sign
-        for k, d in affected[t]:
-            old = factors[k]
-            new = old + (d if adding else -d)
-            if old:
-                prod //= old
-            else:
-                nzero -= 1
-            if new:
-                prod *= new
-            else:
-                nzero += 1
-            factors[k] = new
-        if nzero == 0:
-            nonzero_terms += 1
-            total += prod if sign > 0 else -prod
-    return total, nonzero_terms
+            yield pos, states
 
 
-def _sum_range_star(args) -> tuple[int, int]:
-    return _sum_range(*args)
+def _sum_from(plan: _Plan, states: dict, pos: int) -> tuple[int, int]:
+    """Signed sum of factor products and nonzero-term count from root ``pos``.
+
+    Every state left at the end has no zero factor, so its subsets are all
+    nonzero terms; ``math.prod`` runs once per state with a nonzero signed
+    count, over the factors not constant in its class.
+    """
+    mask = plan.mask
+    total = nonzero = 0
+    for start, states in _classes(states, plan, pos, len(plan.steps)):
+        const, live = plan.fixed[start]
+        k = next(iter(states))
+        part = 0
+        for key, (signed, count) in states.items():
+            nonzero += count
+            if signed:
+                part += signed * math.prod(
+                    ci * ((key >> si) & mask) + cj * ((key >> sj) & mask)
+                    - target for (si, ci, sj, cj, target) in live)
+        total += part * math.prod(
+            ci * ((k >> si) & mask) + cj * ((k >> sj) & mask) - target
+            for (si, ci, sj, cj, target) in const)
+    return total, nonzero
+
+
+def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
+    """The states left after the first ``depth`` roots, in key order."""
+    return sorted(kv for _, states in
+                  _classes({plan.base: (1, 1)}, plan, 0, depth)
+                  for kv in states.items())
+
+
+def _pool_size(workers: int, cpus: int, chunks: int) -> int:
+    """Worker processes to start: never more than the CPUs or the chunks."""
+    return min(workers, cpus, chunks)
+
+
+def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
+    """``_sum_from`` split across worker processes.
+
+    The first few roots are walked here; the states reached are dealt
+    round-robin in key order, one chunk per worker, and each worker walks its
+    chunk to the end.  Every part is an exact integer, so the result is the
+    same for any worker count.
+    """
+    cpus = os.cpu_count() or 1
+    depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)
+    items = _prefix(plan, depth)
+    if not items:
+        return 0, 0
+    size = _pool_size(workers, cpus, len(items))
+    chunks = [dict(items[w::size]) for w in range(size)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        parts = list(pool.map(_sum_from, [plan] * size, chunks,
+                              [depth] * size))
+    return sum(t for t, _ in parts), sum(nz for _, nz in parts)
+
+
+def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
+                packed: Sequence[tuple[int, int, int, int]],
+                workers: int = 1) -> tuple[int, int]:
+    """Sum over subsets S of the pool of (-1)^#S times the product of the
+    packed factors at base + sum(deltas[S]), and the number of nonzero terms.
+
+    Sums of at least 2^12 subsets are split across worker processes when
+    ``workers`` > 1.
+    """
+    plan = _plan(base, deltas, packed)
+    if plan is None:
+        return 0, 0
+    if workers > 1 and len(deltas) >= 12:
+        return _pooled_sum(plan, workers)
+    return _sum_from(plan, {plan.base: (1, 1)}, 0)
 
 
 def _scale_for(lam: Weight) -> int:
@@ -242,7 +386,7 @@ def _scale_for(lam: Weight) -> int:
 
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
                          variant: str):
-    """Scaled base vector, per-root toggle deltas and packed P_K numerator."""
+    """Scaled base vector, per-root deltas and packed P_K numerator."""
     rank = rs.case.rank
     scale = _scale_for(lam)
     base = [int(scale * Fraction(x)) for x in lam]
@@ -280,16 +424,7 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
         raise TermCapExceeded(count, term_cap)
     base, deltas, packed, pk_denominator = _prepare_enumeration(
         rs, levi, lam, variant)
-    if workers > 1 and count >= 1 << 12:
-        bounds = [count * w // workers for w in range(workers + 1)]
-        chunks = [(base, deltas, packed, lo, hi)
-                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_sum_range_star, chunks))
-        total = sum(t for t, _ in parts)
-        nonzero = sum(nz for _, nz in parts)
-    else:
-        total, nonzero = _sum_range(base, deltas, packed, 0, count)
+    total, nonzero = _subset_sum(base, deltas, packed, workers)
     exponent = levi.big_n
     if variant == "v2":
         exponent += len(levi.delta_n_plus_l)

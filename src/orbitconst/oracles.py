@@ -245,11 +245,11 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     raise ValueError(f"no term characterization for {case} form {form.index}")
 
 
-def check_oracle_against_brute_force(case: GroupCase,
-                                     form: RealForm | int) -> bool:
+def check_oracle_against_brute_force(case: GroupCase, form: RealForm | int,
+                                     term_cap: int = DEFAULT_TERM_CAP) -> bool:
     """Whether the enumerated survivors match the combinatorial prediction."""
     form = form if isinstance(form, RealForm) else get_form(case, form)
-    survivors = surviving_terms(case, form)
+    survivors = surviving_terms(case, form, term_cap=term_cap)
     found = {(frozenset(t.a_set), frozenset(t.c_set), t.weight)
              for t in survivors}
     if case.family == "sp":

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         TermCapExceeded, auto_sign_relation, brute_force_sum,
@@ -12,6 +14,8 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         get_form, lambda_candidates, levi_data, levi_k_poly,
                         make_dim_poly, real_forms, rho_n_orthogonal,
                         sign_flip_sigma)
+from orbitconst.constants import (_plan, _pool_size, _prefix,
+                                  _prepare_enumeration, _subset_sum, _sum_from)
 from orbitconst.verify import acceptance_cases
 
 
@@ -220,16 +224,19 @@ def test_closed_form_matches_brute_on_spread():
 
 def test_closed_form_matches_brute_at_p4():
     # rank-8 cases beyond the acceptance sweep; p = 4 exercises the closed
-    # forms at the next parity point
+    # forms at the next parity point.  Every form of SO_e(8,7), SO_e(8,9) and
+    # SO_e(8,8), from 2^15 to 2^22 subsets.
+    for case in (GroupCase.so_odd(4, 3), GroupCase.so_odd(4, 4),
+                 GroupCase.so_even(4, 4)):
+        for form in real_forms(case):
+            assert constant_brute_force_orig(case, form) == \
+                constant_closed_form(case, form), (str(case), form.index)
     case = GroupCase.so_even(4, 4)
     for idx in (1, 3):
-        assert constant_brute_force_orig(case, idx) == \
-            constant_closed_form(case, idx) == 64
+        assert constant_closed_form(case, idx) == 64
     case = GroupCase.so_odd(4, 3)
-    c1 = constant_brute_force_orig(case, 1)
-    c2 = constant_brute_force_orig(case, 2)
-    assert c1 == constant_closed_form(case, 1) == 64
-    assert c2 == constant_closed_form(case, 2) == -64
+    assert constant_closed_form(case, 1) == 64
+    assert constant_closed_form(case, 2) == -64
     assert auto_sign_relation(case, sign_flip_sigma(7, 3), 1, 2) == -1
     case = GroupCase.sp(8)
     assert constant_brute_force_orig(case, 5) == \
@@ -265,6 +272,83 @@ def test_lambda_degenerate_error():
     case = GroupCase.sp(2)
     with pytest.raises(LambdaDegenerateError):
         constant_brute_force_orig(case, 1, lam=(1, 1))   # P_LK vanishes
+
+
+def _naive_sum(base, deltas, packed):
+    """Reference kernel: rebuild the vector of every subset and multiply."""
+    total = nonzero = 0
+    for bits in range(1 << len(deltas)):
+        vec = list(base)
+        for t, delta in enumerate(deltas):
+            if bits >> t & 1:
+                vec = [v + d for v, d in zip(vec, delta)]
+        prod = math.prod(ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
+                         for i, ci, j, cj in packed)
+        if prod:
+            nonzero += 1
+            total += -prod if bits.bit_count() & 1 else prod
+    return total, nonzero
+
+
+_COEFF = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def _sums(draw):
+    """Small kernel inputs; coordinates from ``touched`` on are untouched."""
+    rank = draw(st.integers(1, 4))
+    touched = draw(st.integers(1, rank))
+    base = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+    deltas = []
+    for _ in range(draw(st.integers(0, 10))):
+        delta = [0] * rank
+        for i in draw(st.sets(st.integers(0, touched - 1), min_size=1,
+                              max_size=2)):
+            delta[i] = draw(_COEFF)
+        deltas.append(tuple(delta))
+    packed = []
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, rank - 1))
+        j = draw(st.sampled_from([-1] + [x for x in range(rank) if x != i]))
+        packed.append((i, draw(_COEFF), j, draw(_COEFF) if j >= 0 else 0))
+    return tuple(base), tuple(deltas), tuple(packed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sums(), st.integers(0, 10), st.integers(1, 3))
+def test_kernel_matches_naive_reference(data, depth, chunks):
+    base, deltas, packed = data
+    expected = _naive_sum(base, deltas, packed)
+    assert _subset_sum(base, deltas, packed) == expected
+    # the pooled path's split, without processes: walk ``depth`` roots, deal
+    # the states round-robin and finish each chunk on its own
+    plan = _plan(base, deltas, packed)
+    if plan is None:
+        assert expected == (0, 0)
+        return
+    depth = min(depth, len(deltas))
+    items = _prefix(plan, depth)
+    parts = [_sum_from(plan, dict(items[w::chunks]), depth)
+             for w in range(chunks)]
+    assert (sum(t for t, _ in parts), sum(n for _, n in parts)) == expected
+
+
+def test_pooled_kernel_matches_naive_reference():
+    case = GroupCase.so_odd(3, 3)            # SO_e(6,7): form 1 has 2^12 subsets
+    rs = build_root_system(case)
+    form = get_form(case, 1)
+    base, deltas, packed, _ = _prepare_enumeration(
+        rs, levi_data(rs, form.h), default_lambda(case, form), "orig")
+    assert len(deltas) == 12
+    assert _subset_sum(base, deltas, packed, workers=2) == \
+        _naive_sum(base, deltas, packed)
+
+
+def test_pool_size_is_clamped_to_cpus_and_chunks():
+    assert _pool_size(8, cpus=2, chunks=5) == 2
+    assert _pool_size(4, cpus=8, chunks=3) == 3
+    assert _pool_size(2, cpus=2, chunks=16) == 2
+    assert _pool_size(3, cpus=1, chunks=7) == 1
 
 
 def test_worker_split_is_exact():

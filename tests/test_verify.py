@@ -8,12 +8,12 @@ from orbitconst.rootsys import build_root_system
 CAP = 16
 
 
-def _over_cap(max_rank):
+def _over_cap(max_rank, wanted=lambda case, form: True):
     """Forms whose sum runs over more than CAP subsets, by their pool sizes."""
     out = []
     for case in verify.acceptance_cases(max_rank):
         rs = build_root_system(case)
-        for form in real_forms(case):
+        for form in filter(lambda f: wanted(case, f), real_forms(case)):
             levi = levi_data(rs, form.h)
             if 1 << (len(levi.delta_n_plus_l) + len(levi.delta_p1)) > CAP:
                 out.append(f"{case} form {form.index}")
@@ -39,5 +39,26 @@ def test_criteria_3_and_4_list_the_forms_they_skip():
 
 
 def test_skipped_is_absent_when_nothing_is_skipped():
-    for criterion in (verify.criterion_3, verify.criterion_4):
+    for criterion in (verify.criterion_3, verify.criterion_4,
+                      verify.criterion_5, verify.criterion_7):
         assert "skipped" not in criterion(max_rank=3)["details"]
+
+
+def test_criterion_5_lists_the_forms_it_skips():
+    expected = _over_cap(4, lambda case, form: case.family == "so-odd"
+                         and form.kind == 3)
+    assert expected
+    result = verify.criterion_5(max_rank=4, term_cap=CAP)
+    assert result["details"]["skipped"] == expected
+    assert result["details"]["failures"] == []
+
+
+def test_criterion_7_lists_the_forms_it_skips():
+    # criterion 7 checks every sp, so-star and su form and the first form of
+    # the orthogonal families
+    expected = _over_cap(4, lambda case, form: form.index == 1 or case.family
+                         in ("sp", "so-star", "su"))
+    assert expected
+    result = verify.criterion_7(max_rank=4, term_cap=CAP)
+    assert sorted(result["details"]["skipped"]) == sorted(expected)
+    assert result["details"]["failures"] == []
