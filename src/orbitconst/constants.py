@@ -22,11 +22,13 @@ exact integer.  The sum over subsets is a dynamic program over partial sums:
 the pool roots are added one at a time to a map from each distinct partial
 weight vector to its signed and unsigned subset counts, so subsets with equal
 partial sums are merged.  A state is dropped once a P_K factor that no later
-root changes is zero, the states split into independent classes once a
-coordinate is final, and the factor product is taken only at the states left
-at the end.  The walk can be shared among worker processes, and the result is
-bit-identical for any worker count because every partial sum is an exact
-integer.
+root changes is zero (before the last root), and the states split into
+independent classes once a coordinate is final.  At the end the factors are
+grouped into blocks that share no coordinate (K = K_1 x K_2 gives two), and a
+state's product is the product of its block values, each memoized on the
+block's digits; a zero block makes a zero term.  The walk can be shared among
+worker processes, and the result is bit-identical for any worker count because
+every partial sum is an exact integer.
 """
 
 from __future__ import annotations
@@ -178,11 +180,13 @@ class _Plan(NamedTuple):
 
     Coordinate i of a vector v is the digit v_i + bound at bit offset
     width * i, so adding root ``steps[pos]`` is one int addition.  After
-    ``pos`` roots: ``prune[pos - 1]`` tests the factors no later root changes;
-    ``cut[pos]`` masks the digits no later root changes; where ``splits[pos]``,
-    the states are split into classes by those digits and ``group_tests[pos]``
-    (factors on those digits alone) run once per class; ``fixed[pos]`` holds
-    the factors constant within such a class and the rest.
+    ``pos`` roots: ``prune[pos - 1]`` tests the factors no later root changes,
+    except after the last root; ``cut[pos]`` masks the digits no later root
+    changes; where ``splits[pos]``, the states are split into classes by those
+    digits and ``group_tests[pos]`` (factors on those digits alone) run once
+    per class.  ``fixed[pos]`` is (const, live): the factors constant within
+    such a class and the rest, each grouped by ``_blocks`` into blocks that
+    share no coordinate.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -240,19 +244,35 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
         finished = max(done[i], done[j])
         if frozen and splits[frozen] and finished == frozen:
             group_tests[frozen].append(test)
-        elif frozen:
+        elif 0 < frozen < m:
             prune[frozen - 1].append(test)
         factors.append((finished, test))
     cut = tuple(sum(mask << (width * i) for i in range(rank) if done[i] <= pos)
                 for pos in range(m + 1))
-    fixed = tuple((tuple(t for f, t in factors if f <= pos),
-                   tuple(t for f, t in factors if f > pos))
+    fixed = tuple((_blocks([t for f, t in factors if f <= pos], mask),
+                   _blocks([t for f, t in factors if f > pos], mask))
                   for pos in range(m + 1))
     key = sum((b + bound) << (width * i) for i, b in enumerate(base))
     steps = tuple(sum(d << (width * i) for i, d in enumerate(deltas[t]))
                   for t in order)
     return _Plan(key, steps, tuple(map(tuple, prune)), cut, splits,
                  tuple(map(tuple, group_tests)), fixed, mask)
+
+
+def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
+    """Group factor tests into blocks that share no coordinate.
+
+    Returns (digit mask, tests) pairs: a block's factors read only the digits
+    under its mask.
+    """
+    blocks: list[tuple[int, tuple]] = []
+    for test in tests:
+        digits, members = mask << test[0] | mask << test[2], (test,)
+        for block in [b for b in blocks if b[0] & digits]:
+            blocks.remove(block)
+            digits, members = digits | block[0], block[1] + members
+        blocks.append((digits, members))
+    return tuple(blocks)
 
 
 def _advance(states: dict, step: int, prune: tuple, mask: int) -> dict:
@@ -289,8 +309,8 @@ def _classes(states: dict, plan: _Plan, pos: int, stop: int):
     """Split ``states`` by the digits finished after ``pos`` roots and walk
     each class on to root ``stop``, splitting again where digits finish.
 
-    Yields (start, states): the states share every digit finished after
-    ``start`` roots.  States of different classes never merge again.
+    Yields each class: its states share every digit finished at the last
+    split, and states of different classes never merge again.
     """
     for states in _split(states, plan, pos):
         for at in range(pos, stop):
@@ -302,38 +322,56 @@ def _classes(states: dict, plan: _Plan, pos: int, stop: int):
                 yield from _classes(states, plan, at + 1, stop)
                 break
         else:
-            yield pos, states
+            yield states
+
+
+def _product(blocks: tuple, memos: list[dict], key: int, mask: int) -> int:
+    """Product of the block values at ``key``, each memoized on its digits;
+    0 as soon as one block is zero."""
+    out = 1
+    for (digits, tests), memo in zip(blocks, memos):
+        sub = key & digits
+        value = memo.get(sub)
+        if value is None:
+            value = memo[sub] = math.prod(
+                ci * ((sub >> si) & mask) + cj * ((sub >> sj) & mask) - target
+                for (si, ci, sj, cj, target) in tests)
+        if not value:
+            return 0
+        out *= value
+    return out
 
 
 def _sum_from(plan: _Plan, states: dict, pos: int) -> tuple[int, int]:
     """Signed sum of factor products and nonzero-term count from root ``pos``.
 
-    Every state left at the end has no zero factor, so its subsets are all
-    nonzero terms; ``math.prod`` runs once per state with a nonzero signed
-    count, over the factors not constant in its class.
+    Every class starts at the last split at or after ``pos``.  A class whose
+    constant factors vanish is skipped.  A state's product is the product of
+    its block values; a state with a zero block is not a nonzero term.  The
+    memos live for this call only.
     """
-    mask = plan.mask
+    mask, m = plan.mask, len(plan.steps)
+    start = max((at for at in range(pos, m) if plan.splits[at]), default=pos)
+    const, live = plan.fixed[start]
+    const_memos, live_memos = [{} for _ in const], [{} for _ in live]
     total = nonzero = 0
-    for start, states in _classes(states, plan, pos, len(plan.steps)):
-        const, live = plan.fixed[start]
-        k = next(iter(states))
+    for states in _classes(states, plan, pos, m):
+        scale = _product(const, const_memos, next(iter(states)), mask)
+        if not scale:
+            continue
         part = 0
         for key, (signed, count) in states.items():
-            nonzero += count
-            if signed:
-                part += signed * math.prod(
-                    ci * ((key >> si) & mask) + cj * ((key >> sj) & mask)
-                    - target for (si, ci, sj, cj, target) in live)
-        total += part * math.prod(
-            ci * ((k >> si) & mask) + cj * ((k >> sj) & mask) - target
-            for (si, ci, sj, cj, target) in const)
+            term = _product(live, live_memos, key, mask)
+            if term:
+                nonzero += count
+                part += signed * term
+        total += part * scale
     return total, nonzero
 
 
 def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
     """The states left after the first ``depth`` roots, in key order."""
-    return sorted(kv for _, states in
-                  _classes({plan.base: (1, 1)}, plan, 0, depth)
+    return sorted(kv for states in _classes({plan.base: (1, 1)}, plan, 0, depth)
                   for kv in states.items())
 
 
@@ -347,8 +385,8 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
 
     The first few roots are walked here; the states reached are dealt
     round-robin in key order, one chunk per worker, and each worker walks its
-    chunk to the end.  Every part is an exact integer, so the result is the
-    same for any worker count.
+    chunk to the end; a single chunk is walked here, without a pool.  Every
+    part is an exact integer, so the result is the same for any worker count.
     """
     cpus = os.cpu_count() or 1
     depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)
@@ -356,6 +394,8 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     if not items:
         return 0, 0
     size = _pool_size(workers, cpus, len(items))
+    if size == 1:
+        return _sum_from(plan, dict(items), depth)
     chunks = [dict(items[w::size]) for w in range(size)]
     with ProcessPoolExecutor(max_workers=size) as pool:
         parts = list(pool.map(_sum_from, [plan] * size, chunks,

@@ -245,11 +245,18 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     raise ValueError(f"no term characterization for {case} form {form.index}")
 
 
-def check_oracle_against_brute_force(case: GroupCase, form: RealForm | int,
-                                     term_cap: int = DEFAULT_TERM_CAP) -> bool:
-    """Whether the enumerated survivors match the combinatorial prediction."""
+def check_oracle_against_brute_force(
+        case: GroupCase, form: RealForm | int,
+        term_cap: int = DEFAULT_TERM_CAP,
+        survivors: Sequence[SurvivingTerm] | None = None) -> bool:
+    """Whether the enumerated survivors match the combinatorial prediction.
+
+    ``survivors`` are those of ``surviving_terms(case, form)`` at lambda_0;
+    they are enumerated here when not given.
+    """
     form = form if isinstance(form, RealForm) else get_form(case, form)
-    survivors = surviving_terms(case, form, term_cap=term_cap)
+    if survivors is None:
+        survivors = surviving_terms(case, form, term_cap=term_cap)
     found = {(frozenset(t.a_set), frozenset(t.c_set), t.weight)
              for t in survivors}
     if case.family == "sp":

@@ -225,14 +225,17 @@ def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """Survivor enumeration matches the combinatorial term characterizations."""
     bad, skipped = [], []
 
-    def agrees(case, form):
-        """The oracle's verdict, or None for a form over the term cap."""
+    def survivors_of(case, form):
+        """The enumerated survivors, or None for a form over the term cap."""
         try:
-            return oracles.check_oracle_against_brute_force(case, form,
-                                                            term_cap)
+            return oracles.surviving_terms(case, form, term_cap=term_cap)
         except TermCapExceeded:
             skipped.append(f"{case} form {form.index}")
             return None
+
+    def agrees(case, form, survivors):
+        return oracles.check_oracle_against_brute_force(case, form,
+                                                        survivors=survivors)
 
     for n in range(1, 7):
         for case in (GroupCase.sp(n), GroupCase.so_star(n)):
@@ -240,14 +243,12 @@ def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
                 continue
             for form in real_forms(case):
                 k = form.kind
-                verdict = agrees(case, form)
-                if verdict is None:
+                survivors = survivors_of(case, form)
+                if survivors is None:
                     continue
-                if not verdict:
+                if not agrees(case, form, survivors):
                     bad.append((str(case), form.index, "set mismatch"))
                     continue
-                survivors = oracles.surviving_terms(case, form,
-                                                    term_cap=term_cap)
                 r = k // 2
                 s = ((n - k) // 2 if case.family == "sp" or n % 2 == 0
                      else (n - 1 - k) // 2)
@@ -267,7 +268,8 @@ def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
             if max_rank is not None and case.rank > max_rank:
                 continue
             for form in real_forms(case):
-                if agrees(case, form) is False:
+                survivors = survivors_of(case, form)
+                if survivors is not None and not agrees(case, form, survivors):
                     bad.append((str(case), form.index, "su oracle"))
     for builder, prange in ((GroupCase.so_odd, range(1, 4)),
                             (GroupCase.so_even, range(1, 4))):
@@ -278,7 +280,8 @@ def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
                 if max_rank is not None and case.rank > max_rank:
                     continue
                 form = real_forms(case)[0]
-                if agrees(case, form) is False:
+                survivors = survivors_of(case, form)
+                if survivors is not None and not agrees(case, form, survivors):
                     bad.append((str(case), 1, "unique survivor"))
     return {"id": 7, "name": "oracle agreement for surviving terms",
             "passed": not bad, "details": _details(bad, skipped)}

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
@@ -14,8 +14,10 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         get_form, lambda_candidates, levi_data, levi_k_poly,
                         make_dim_poly, real_forms, rho_n_orthogonal,
                         sign_flip_sigma)
-from orbitconst.constants import (_plan, _pool_size, _prefix,
-                                  _prepare_enumeration, _subset_sum, _sum_from)
+from orbitconst import constants
+from orbitconst.constants import (_blocks, _pack_roots, _plan, _pool_size,
+                                  _prefix, _prepare_enumeration, _subset_sum,
+                                  _sum_from)
 from orbitconst.verify import acceptance_cases
 
 
@@ -243,6 +245,16 @@ def test_closed_form_matches_brute_at_p4():
         constant_closed_form(case, 5) == 6
 
 
+def test_closed_form_matches_brute_beyond_the_acceptance_range():
+    # the cheap part of the range past rank 6: all 42 forms at lambda_0.
+    # Sp(20,R) form 6 runs over 2^25 subsets, above the default cap.
+    for case in (GroupCase.sp(8), GroupCase.sp(10), GroupCase.so_star(8),
+                 GroupCase.so_star(10), GroupCase.su(4, 6), GroupCase.su(5, 5)):
+        for form in real_forms(case):
+            assert constant_brute_force_orig(case, form, term_cap=1 << 25) == \
+                constant_closed_form(case, form), (str(case), form.index)
+
+
 def test_formula_equivalence_where_orthogonal():
     for case in (GroupCase.so_odd(2, 2), GroupCase.so_even(2, 2),
                  GroupCase.sp(3), GroupCase.su(2, 2)):
@@ -316,6 +328,11 @@ def _sums(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sums(), st.integers(0, 10), st.integers(1, 3))
+# the split starts after the last root, so every factor is constant in its
+# class; the last root zeroes v_0 + v_1 in one state
+@example(((1, 0), ((1, 0), (0, -1)), ((0, 1, -1, 0), (0, 1, 1, 1))), 2, 2)
+# only the last root zeroes v_0, and only where the first root is absent
+@example(((1,), ((1,), (-1,)), ((0, 1, -1, 0),)), 0, 1)
 def test_kernel_matches_naive_reference(data, depth, chunks):
     base, deltas, packed = data
     expected = _naive_sum(base, deltas, packed)
@@ -342,6 +359,40 @@ def test_pooled_kernel_matches_naive_reference():
     assert len(deltas) == 12
     assert _subset_sum(base, deltas, packed, workers=2) == \
         _naive_sum(base, deltas, packed)
+
+
+def test_one_prefix_state_is_summed_without_a_pool(monkeypatch):
+    case = GroupCase.so_odd(2, 4)            # SO_e(4,9): form 3 has 2^14 subsets
+    rs = build_root_system(case)
+    form = get_form(case, 3)
+    base, deltas, packed, _ = _prepare_enumeration(
+        rs, levi_data(rs, form.h), default_lambda(case, form), "v2")
+    assert len(deltas) == 14
+    assert len(_prefix(_plan(base, deltas, packed), 4)) == 1
+    expected = _subset_sum(base, deltas, packed)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", no_pool)
+    assert _subset_sum(base, deltas, packed, workers=2) == expected
+
+
+def test_blocks_share_no_coordinate():
+    # the compact factors of SO_e(6,10) (K = SO(6) x SO(10)) fall into two
+    # blocks, those of Sp(12,R) (K = U(6)) into one
+    for case, count in ((GroupCase.so_even(3, 5), 2), (GroupCase.sp(6), 1)):
+        rs = build_root_system(case)
+        tests = [(8 * i, ci, 8 * (i if j < 0 else j), cj, 0)
+                 for i, ci, j, cj in _pack_roots(rs.compact_positive)]
+        blocks = _blocks(tests, 0xFF)
+        assert len(blocks) == count, str(case)
+        assert sorted(t for _, block in blocks for t in block) == sorted(tests)
+        for n, (digits, block) in enumerate(blocks):
+            for si, _, sj, _, _ in block:
+                reads = 0xFF << si | 0xFF << sj
+                assert reads & digits == reads
+            assert all(digits & other == 0 for other, _ in blocks[n + 1:])
 
 
 def test_pool_size_is_clamped_to_cpus_and_chunks():

@@ -1,6 +1,7 @@
-"""The memo behind the criteria, and the forms they skip over the term cap."""
+"""The memo behind the criteria, the forms they skip over the term cap, and
+what criterion 7 enumerates."""
 
-from orbitconst import verify
+from orbitconst import oracles, verify
 from orbitconst.constants import levi_data
 from orbitconst.orbits import real_forms
 from orbitconst.rootsys import build_root_system
@@ -62,3 +63,16 @@ def test_criterion_7_lists_the_forms_it_skips():
     result = verify.criterion_7(max_rank=4, term_cap=CAP)
     assert sorted(result["details"]["skipped"]) == sorted(expected)
     assert result["details"]["failures"] == []
+
+
+def test_criterion_7_enumerates_each_form_once(monkeypatch):
+    seen = []
+    enumerate_survivors = oracles.surviving_terms
+
+    def counted(case, form, *args, **kwargs):
+        seen.append(f"{case} form {form.index}")
+        return enumerate_survivors(case, form, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "surviving_terms", counted)
+    assert verify.criterion_7(max_rank=4)["passed"]
+    assert seen and len(seen) == len(set(seen))
