@@ -289,8 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
+    for flag in ("workers", "term_cap", "max_rank"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be at least 1, "
+                         f"got {value}")
     try:
         return args.func(args)
     except (ValueError, TermCapExceeded, LambdaDegenerateError) as exc:

@@ -21,14 +21,15 @@ is an integer product, and the single division at the end is checked to be an
 exact integer.  The sum over subsets is a dynamic program over partial sums:
 the pool roots are added one at a time to a map from each distinct partial
 weight vector to its signed and unsigned subset counts, so subsets with equal
-partial sums are merged.  A state is dropped once a P_K factor that no later
-root changes is zero (before the last root), and the states split into
-independent classes once a coordinate is final.  At the end the factors are
-grouped into blocks that share no coordinate (K = K_1 x K_2 gives two), and a
-state's product is the product of its block values, each memoized on the
-block's digits; a zero block makes a zero term.  The walk can be shared among
-worker processes, and the result is bit-identical for any worker count because
-every partial sum is an exact integer.
+partial sums are merged.  Once a coordinate is final the states split into
+independent classes.  Each P_K factor is tested in one place: a factor whose
+coordinates are final before the last root is evaluated once per class, at
+the split where they become final, into the class's scale, and a class whose
+scale is 0 is dropped; the rest are grouped into blocks that share no
+coordinate (K = K_1 x K_2 gives two), and a state's product is the product of
+its block values, each memoized on the block's digits.  The walk can be
+shared among worker processes, and the result is bit-identical for any
+worker count because every partial sum is an exact integer.
 """
 
 from __future__ import annotations
@@ -180,13 +181,12 @@ class _Plan(NamedTuple):
 
     Coordinate i of a vector v is the digit v_i + bound at bit offset
     width * i, so adding root ``steps[pos]`` is one int addition.  After
-    ``pos`` roots: ``prune[pos - 1]`` tests the factors no later root changes,
-    except after the last root; ``cut[pos]`` masks the digits no later root
-    changes; where ``splits[pos]``, the states are split into classes by those
-    digits and ``group_tests[pos]`` (factors on those digits alone) run once
-    per class.  ``fixed[pos]`` is (const, live): the factors constant within
-    such a class and the rest, each grouped by ``_blocks`` into blocks that
-    share no coordinate.
+    ``pos`` roots, ``cut[pos]`` masks the digits no later root changes, and
+    where ``splits[pos]`` the states are split into classes by those digits.
+    ``finish[pos]`` holds the factors whose coordinates are all final after
+    ``pos`` roots (and not after fewer), for pos < m; ``blocks`` groups the
+    factors that only the last root finishes, with ``_blocks``, into blocks
+    that share no coordinate.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -195,11 +195,10 @@ class _Plan(NamedTuple):
 
     base: int
     steps: tuple[int, ...]
-    prune: tuple[tuple, ...]
     cut: tuple[int, ...]
     splits: tuple[bool, ...]
-    group_tests: tuple[tuple, ...]
-    fixed: tuple[tuple[tuple, tuple], ...]
+    finish: tuple[tuple, ...]
+    blocks: tuple[tuple[int, tuple], ...]
     mask: int
 
 
@@ -230,33 +229,24 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     done = [1 + max((pos for pos, t in enumerate(order) if deltas[t][i]),
                     default=-1) for i in range(rank)]
     splits = tuple(0 < pos < m and pos in done for pos in range(m + 1))
-    prune: list[list] = [[] for _ in range(m)]
-    group_tests: list[list] = [[] for _ in range(m + 1)]
-    factors = []
+    finish: list[list] = [[] for _ in range(m)]
+    live = []
     for (i, ci, j, cj) in packed:
         if j < 0:
             j, cj = i, 0
-        frozen = 1 + max((pos for pos, t in enumerate(order)
-                          if ci * deltas[t][i] + cj * deltas[t][j]), default=-1)
-        if frozen == 0 and ci * base[i] + cj * base[j] == 0:
+        if ci * base[i] + cj * base[j] == 0 and not any(
+                ci * d[i] + cj * d[j] for d in deltas):
             return None
         test = (width * i, ci, width * j, cj, (ci + cj) * bound)
         finished = max(done[i], done[j])
-        if frozen and splits[frozen] and finished == frozen:
-            group_tests[frozen].append(test)
-        elif 0 < frozen < m:
-            prune[frozen - 1].append(test)
-        factors.append((finished, test))
+        (finish[finished] if finished < m else live).append(test)
     cut = tuple(sum(mask << (width * i) for i in range(rank) if done[i] <= pos)
                 for pos in range(m + 1))
-    fixed = tuple((_blocks([t for f, t in factors if f <= pos], mask),
-                   _blocks([t for f, t in factors if f > pos], mask))
-                  for pos in range(m + 1))
     key = sum((b + bound) << (width * i) for i, b in enumerate(base))
     steps = tuple(sum(d << (width * i) for i, d in enumerate(deltas[t]))
                   for t in order)
-    return _Plan(key, steps, tuple(map(tuple, prune)), cut, splits,
-                 tuple(map(tuple, group_tests)), fixed, mask)
+    return _Plan(key, steps, cut, splits, tuple(map(tuple, finish)),
+                 _blocks(live, mask), mask)
 
 
 def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
@@ -275,8 +265,8 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(blocks)
 
 
-def _advance(states: dict, step: int, prune: tuple, mask: int) -> dict:
-    """Add one root to every subset; drop states with a frozen zero factor.
+def _advance(states: dict, step: int) -> dict:
+    """Add one root to every subset.
 
     ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
     """
@@ -287,42 +277,42 @@ def _advance(states: dict, step: int, prune: tuple, mask: int) -> dict:
         old = get(new)
         out[new] = ((-signed, count) if old is None
                     else (old[0] - signed, old[1] + count))
-    for (si, ci, sj, cj, target) in prune:
-        for key in [k for k in out if ci * ((k >> si) & mask)
-                    + cj * ((k >> sj) & mask) == target]:
-            del out[key]
     return out
 
 
-def _split(states: dict, plan: _Plan, pos: int) -> list[dict]:
-    """Split into classes by the finished digits; drop the zero classes."""
+def _classes(states: dict, plan: _Plan, pos: int, stop: int, tests: tuple,
+             scale: int = 1):
+    """Split ``states`` by the digits finished after ``pos`` roots and walk
+    each class on to root ``stop``, splitting again where digits finish.
+
+    A class's scale is ``scale`` times the factors ``tests`` on its digits,
+    then times ``finish[at]`` at each later split ``at``; a class whose
+    scale is 0 is dropped.  Yields (scale, class): the states of a class
+    share every digit finished at its last split, and states of different
+    classes never merge again.
+    """
     cut, mask = plan.cut[pos], plan.mask
     classes: dict[int, dict] = {}
     for key, value in states.items():
         classes.setdefault(key & cut, {})[key] = value
-    return [cls for k, cls in classes.items()
-            if all(ci * ((k >> si) & mask) + cj * ((k >> sj) & mask) != target
-                   for (si, ci, sj, cj, target) in plan.group_tests[pos])]
-
-
-def _classes(states: dict, plan: _Plan, pos: int, stop: int):
-    """Split ``states`` by the digits finished after ``pos`` roots and walk
-    each class on to root ``stop``, splitting again where digits finish.
-
-    Yields each class: its states share every digit finished at the last
-    split, and states of different classes never merge again.
-    """
-    for states in _split(states, plan, pos):
+    for k, states in classes.items():
+        class_scale = scale * _factors(tests, k, mask)
+        if not class_scale:
+            continue
         for at in range(pos, stop):
-            states = _advance(states, plan.steps[at], plan.prune[at],
-                              plan.mask)
-            if not states:
-                break
+            states = _advance(states, plan.steps[at])
             if plan.splits[at + 1]:
-                yield from _classes(states, plan, at + 1, stop)
+                yield from _classes(states, plan, at + 1, stop,
+                                    plan.finish[at + 1], class_scale)
                 break
         else:
-            yield states
+            yield class_scale, states
+
+
+def _factors(tests: tuple, key: int, mask: int) -> int:
+    """Product of the factor tests at ``key``."""
+    return math.prod(ci * ((key >> si) & mask) + cj * ((key >> sj) & mask)
+                     - target for (si, ci, sj, cj, target) in tests)
 
 
 def _product(blocks: tuple, memos: list[dict], key: int, mask: int) -> int:
@@ -333,9 +323,7 @@ def _product(blocks: tuple, memos: list[dict], key: int, mask: int) -> int:
         sub = key & digits
         value = memo.get(sub)
         if value is None:
-            value = memo[sub] = math.prod(
-                ci * ((sub >> si) & mask) + cj * ((sub >> sj) & mask) - target
-                for (si, ci, sj, cj, target) in tests)
+            value = memo[sub] = _factors(tests, sub, mask)
         if not value:
             return 0
         out *= value
@@ -345,23 +333,20 @@ def _product(blocks: tuple, memos: list[dict], key: int, mask: int) -> int:
 def _sum_from(plan: _Plan, states: dict, pos: int) -> tuple[int, int]:
     """Signed sum of factor products and nonzero-term count from root ``pos``.
 
-    Every class starts at the last split at or after ``pos``.  A class whose
-    constant factors vanish is skipped.  A state's product is the product of
-    its block values; a state with a zero block is not a nonzero term.  The
-    memos live for this call only.
+    The classes open with the factors of ``finish[0..pos]``, which read only
+    digits final by then, so any states reached after ``pos`` roots may be
+    passed in.  Each class contributes its scale times the sum of its
+    states' block products; a state with a zero block is not a nonzero term.
+    The memos live for this call only.
     """
     mask, m = plan.mask, len(plan.steps)
-    start = max((at for at in range(pos, m) if plan.splits[at]), default=pos)
-    const, live = plan.fixed[start]
-    const_memos, live_memos = [{} for _ in const], [{} for _ in live]
+    memos = [{} for _ in plan.blocks]
     total = nonzero = 0
-    for states in _classes(states, plan, pos, m):
-        scale = _product(const, const_memos, next(iter(states)), mask)
-        if not scale:
-            continue
+    for scale, states in _classes(states, plan, pos, m,
+                                  sum(plan.finish[:pos + 1], ())):
         part = 0
         for key, (signed, count) in states.items():
-            term = _product(live, live_memos, key, mask)
+            term = _product(plan.blocks, memos, key, mask)
             if term:
                 nonzero += count
                 part += signed * term
@@ -370,8 +355,13 @@ def _sum_from(plan: _Plan, states: dict, pos: int) -> tuple[int, int]:
 
 
 def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
-    """The states left after the first ``depth`` roots, in key order."""
-    return sorted(kv for states in _classes({plan.base: (1, 1)}, plan, 0, depth)
+    """The states left after the first ``depth`` roots, in key order.
+
+    Classes whose scale is 0 are dropped, and the scales are not kept:
+    ``_sum_from`` opens its classes with those factors again.
+    """
+    return sorted(kv for _, states in _classes({plan.base: (1, 1)}, plan, 0,
+                                               depth, ())
                   for kv in states.items())
 
 
@@ -383,10 +373,11 @@ def _pool_size(workers: int, cpus: int, chunks: int) -> int:
 def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     """``_sum_from`` split across worker processes.
 
-    The first few roots are walked here; the states reached are dealt
-    round-robin in key order, one chunk per worker, and each worker walks its
-    chunk to the end; a single chunk is walked here, without a pool.  Every
-    part is an exact integer, so the result is the same for any worker count.
+    The first few roots are walked here; the states of the nonzero classes
+    are dealt round-robin in key order, one chunk per worker, and each worker
+    reopens its chunk's classes, scales included, and walks them to the end;
+    a single chunk is walked here, without a pool.  Every part is an exact
+    integer, so the result is the same for any worker count.
     """
     cpus = os.cpu_count() or 1
     depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)

@@ -159,13 +159,18 @@ def test_verify_inject_fault(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_is_a_usage_error(capsys, workers):
-    # rejected while parsing, before any sum or process pool starts
-    for argv in (["constant", "--group", "sp", "--n", "2"],
-                 ["verify", "--max-rank", "1"]):
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_flags_below_one_are_usage_errors(capsys, value):
+    # rejected while parsing, before any sum or process pool starts; a verify
+    # run with no term or no case would otherwise pass having checked nothing
+    constant = ["constant", "--group", "sp", "--n", "2"]
+    verify = ["verify", "--max-rank", "1"]
+    for argv, flag in ((constant, "--workers"), (verify, "--workers"),
+                       (constant, "--term-cap"), (verify, "--term-cap"),
+                       (["table", "--group", "sp", "--n", "2"], "--term-cap"),
+                       (["verify"], "--max-rank")):
         with pytest.raises(SystemExit) as info:
-            main([*argv, "--workers", workers])
+            main([*argv, flag, value])
         assert info.value.code == 2
-        assert f"--workers must be at least 1, got {workers}" in \
+        assert f"{flag} must be at least 1, got {value}" in \
             capsys.readouterr().err

@@ -245,6 +245,22 @@ def test_closed_form_matches_brute_at_p4():
         constant_closed_form(case, 5) == 6
 
 
+def _forms(cases):
+    return st.sampled_from([(case, form) for case in cases
+                            for form in real_forms(case)])
+
+
+# half the draws from SO_e(8,8), the next parity point past the sweep
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_forms(acceptance_cases()), _forms([GroupCase.so_even(4, 4)])),
+       st.integers(0, 2 ** 16), st.integers(0, 2))
+def test_closed_form_matches_brute_at_random_lambda(case_form, seed, which):
+    case, form = case_form
+    lam = lambda_candidates(case, form, count=3, seed=seed)[which]
+    assert constant_brute_force_orig(case, form, lam=lam) == \
+        constant_closed_form(case, form)
+
+
 def test_closed_form_matches_brute_beyond_the_acceptance_range():
     # the cheap part of the range past rank 6: all 42 forms at lambda_0.
     # Sp(20,R) form 6 runs over 2^25 subsets, above the default cap.
@@ -328,11 +344,16 @@ def _sums(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sums(), st.integers(0, 10), st.integers(1, 3))
-# the split starts after the last root, so every factor is constant in its
-# class; the last root zeroes v_0 + v_1 in one state
+# the hand split walks every root, so the chunks' classes open with every
+# finished factor (v_0); the last root zeroes v_0 + v_1 in one state
 @example(((1, 0), ((1, 0), (0, -1)), ((0, 1, -1, 0), (0, 1, 1, 1))), 2, 2)
 # only the last root zeroes v_0, and only where the first root is absent
 @example(((1,), ((1,), (-1,)), ((0, 1, -1, 0),)), 0, 1)
+# -v_1 - v_2 is final after the first root, and zero where that root is
+# absent, but its coordinates finish only at the second; -v_0 finishes at
+# the first root and is zero where that root is present
+@example(((-1, -1, 1), ((1, 0, 1), (0, -1, 1)),
+          ((2, -1, 1, -1), (0, -1, -1, 0))), 1, 2)
 def test_kernel_matches_naive_reference(data, depth, chunks):
     base, deltas, packed = data
     expected = _naive_sum(base, deltas, packed)
@@ -348,6 +369,36 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     parts = [_sum_from(plan, dict(items[w::chunks]), depth)
              for w in range(chunks)]
     assert (sum(t for t, _ in parts), sum(n for _, n in parts)) == expected
+
+
+def test_plan_tests_each_factor_once_where_it_finishes():
+    for case in acceptance_cases():
+        rs = build_root_system(case)
+        for form in real_forms(case):
+            levi = levi_data(rs, form.h)
+            for variant in ("orig", "v2")[:1 + rho_n_orthogonal(levi)]:
+                base, deltas, packed, _ = _prepare_enumeration(
+                    rs, levi, default_lambda(case, form), variant)
+                plan = _plan(base, deltas, packed)
+                if plan is None:
+                    continue
+                m, mask = len(deltas), plan.mask
+                width = mask.bit_length()
+                live = [(m, t) for _, tests in plan.blocks for t in tests]
+                placed = [(pos, t) for pos, tests in enumerate(plan.finish)
+                          for t in tests] + live
+                assert sorted((si // width, ci, sj // width, cj)
+                              for _, (si, ci, sj, cj, _) in placed) == sorted(
+                    (i, ci, i, 0) if j < 0 else (i, ci, j, cj)
+                    for i, ci, j, cj in packed), (str(case), form.index)
+                for pos, (si, _, sj, _, _) in placed:
+                    reads = mask << si | mask << sj
+                    if pos < m:
+                        assert reads & plan.cut[pos] == reads
+                    if pos > 0:
+                        assert reads & ~plan.cut[pos - 1]
+                assert all(plan.splits[pos] for pos in range(1, m)
+                           if plan.finish[pos])
 
 
 def test_pooled_kernel_matches_naive_reference():
