@@ -477,7 +477,7 @@ def _constant(case: GroupCase, form: RealForm | int, lam: Sequence | None,
     """The one evaluation pipeline: root system, Levi data, P_{L&K}(lam) and
     the alternating sum, at lambda_0 when ``lam`` is None."""
     rs = build_root_system(case)
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     lam = _as_weight(lam) if lam is not None else default_lambda(case, form)
     levi = levi_data(rs, form.h)
     plk = eval_dim_poly(levi_k_poly(rs, levi), lam)
@@ -527,7 +527,7 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
     coordinate-flipped lambda_0 of their partner form, matching the
     automorphism that relates the two Levis.
     """
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     p, q, n = case.p, case.q, case.n
     H = Fraction(1, 2)
     if case.family == "su":
@@ -600,7 +600,7 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
     an error (the resampling path of the CLI).
     """
     rs = build_root_system(case)
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     levi = levi_data(rs, form.h)
     plk = levi_k_poly(rs, levi)
     lam0 = default_lambda(case, form)
@@ -640,7 +640,7 @@ def _closed_form_spec(case: GroupCase, form: RealForm | int):
     The magnitude is a pair (a, b) for the binomial C(a, b), or an int k for
     2^k.  Both renderings below read this one spec.
     """
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     p, q, n = case.p, case.q, case.n
     k = form.kind
     if case.family == "su":
@@ -728,8 +728,8 @@ def auto_sign_relation(case: GroupCase, sigma: SignedPermutation,
     preserve the compact positive system, and carry h1 to h2.
     """
     rs = build_root_system(case)
-    form1 = form1 if isinstance(form1, RealForm) else get_form(case, form1)
-    form2 = form2 if isinstance(form2, RealForm) else get_form(case, form2)
+    form1 = get_form(case, form1)
+    form2 = get_form(case, form2)
     roots = set(rs.all_roots())
     compact = rs.compact_set()
     images = {r: sigma.apply(r) for r in roots}

@@ -39,7 +39,7 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
                     term_cap: int = DEFAULT_TERM_CAP) -> list[SurvivingTerm]:
     """All (A, C) pairs whose term is nonzero, with weights and values."""
     rs = build_root_system(case)
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     lam = (tuple(Fraction(x) for x in lam) if lam is not None
            else default_lambda(case, form))
     levi = levi_data(rs, form.h)
@@ -83,6 +83,30 @@ def shuffles(r: int, s: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
         yield iseq, jseq
 
 
+def _shuffle_term(n: int, p: int, start: int, iseq: tuple[int, ...],
+                  jseq: tuple[int, ...]) -> tuple[set[Root], list[int]]:
+    """A and Lambda of the term that the shuffle (iseq, jseq) indexes.
+
+    The first block is coordinates 0..p-1 and the second runs from ``start``
+    to n-1: ``start`` is p for sp and for so-star with n even, and p + 1 for
+    so-star with n odd, whose coordinate p carries the fixed C.  Coordinates
+    outside the two shuffled halves are left 0 in Lambda for the caller.
+    """
+    a_roots = set()
+    lam = [0] * n
+    for u, i in enumerate(iseq, 1):
+        lam[u - 1] = n + 1 - i
+        lam[p - u] = i
+        for v, j in enumerate(jseq, 1):
+            a_roots.add(_e2(n, p - u, 1, n - v, 1))
+            a_roots.add(_e2(n, p - u, 1, start + v - 1, 1) if i < j
+                        else _e2(n, u - 1, 1, n - v, 1))
+    for v, j in enumerate(jseq, 1):
+        lam[start + v - 1] = n + 1 - j
+        lam[n - v] = j
+    return a_roots, lam
+
+
 def shuffle_terms_sp(n: int, k: int) -> list[tuple[frozenset[Root], tuple[int, ...]]]:
     """Predicted (A, Lambda) pairs for sp(2n, R) with form parameter k.
 
@@ -91,33 +115,15 @@ def shuffle_terms_sp(n: int, k: int) -> list[tuple[frozenset[Root], tuple[int, .
     p, q = k, n - k
     if n % 2 == 0 and p % 2 == 1:
         return []
-    if p == 0 or q == 0:
-        return [(frozenset(), tuple(range(n, 0, -1)))]
     r, s = p // 2, q // 2
     out = []
     for iseq, jseq in shuffles(r, s):
-        a_roots = set()
-        for u in range(1, r + 1):
-            for v in range(1, s + 1):
-                a_roots.add(_e2(n, p - u, 1, n - v, 1))
-                if iseq[u - 1] < jseq[v - 1]:
-                    a_roots.add(_e2(n, p - u, 1, p + v - 1, 1))
-                else:
-                    a_roots.add(_e2(n, u - 1, 1, n - v, 1))
-        if p % 2 == 1:
+        a_roots, lam = _shuffle_term(n, p, p, iseq, jseq)
+        if p % 2 == 1:  # then q is even: n even with p odd returned above
             a_roots.update(_e2(n, r, 1, p + j - 1, 1) for j in range(s + 1, q + 1))
+            lam[p - r - 1] = n - r - s
         elif q % 2 == 1:
             a_roots.update(_e2(n, i - 1, 1, p + s, 1) for i in range(r + 1, p + 1))
-        lam = [0] * n
-        for u in range(1, r + 1):
-            lam[u - 1] = n + 1 - iseq[u - 1]
-            lam[p - u] = iseq[u - 1]
-        for v in range(1, s + 1):
-            lam[p + v - 1] = n + 1 - jseq[v - 1]
-            lam[n - v] = jseq[v - 1]
-        if p % 2 == 1:
-            lam[p - r - 1] = n - r - s
-        if q % 2 == 1:
             lam[n - s - 1] = n - r - s
         out.append((frozenset(a_roots), tuple(lam)))
     return out
@@ -125,57 +131,23 @@ def shuffle_terms_sp(n: int, k: int) -> list[tuple[frozenset[Root], tuple[int, .
 
 def shuffle_terms_so_star(n: int, k: int) -> list[
         tuple[frozenset[Root], frozenset[Root], tuple[int, ...]]]:
-    """Predicted (A, C, Lambda) for so*(2n) with (even) form parameter k."""
+    """Predicted (A, C, Lambda) for so*(2n) with (even) form parameter k.
+
+    For n even these are sp's terms with an empty C.
+    """
     if k % 2 != 0:
         raise ValueError("so-star form parameter must be even")
-    p = k
     if n % 2 == 0:
-        q = n - p
-        if p == 0 or q == 0:
-            return [(frozenset(), frozenset(), tuple(range(n, 0, -1)))]
-        r, s = p // 2, q // 2
-        out = []
-        for iseq, jseq in shuffles(r, s):
-            a_roots = set()
-            for u in range(1, r + 1):
-                for v in range(1, s + 1):
-                    a_roots.add(_e2(n, p - u, 1, n - v, 1))
-                    if iseq[u - 1] < jseq[v - 1]:
-                        a_roots.add(_e2(n, p - u, 1, p + v - 1, 1))
-                    else:
-                        a_roots.add(_e2(n, u - 1, 1, n - v, 1))
-            lam = [0] * n
-            for u in range(1, r + 1):
-                lam[u - 1] = n + 1 - iseq[u - 1]
-                lam[p - u] = iseq[u - 1]
-            for v in range(1, s + 1):
-                lam[p + v - 1] = n + 1 - jseq[v - 1]
-                lam[n - v] = jseq[v - 1]
-            out.append((frozenset(a_roots), frozenset(), tuple(lam)))
-        return out
-    q = n - 1 - p
+        return [(a, frozenset(), lam) for a, lam in shuffle_terms_sp(n, k)]
+    p, q = k, n - 1 - k
     r, s = p // 2, q // 2
     c_roots = frozenset(
         [_e2(n, i - 1, 1, p, 1) for i in range(r + 1, p + 1)]
         + [_e2(n, p, -1, p + j, -1) for j in range(1, s + 1)])
     out = []
     for iseq, jseq in shuffles(r, s):
-        a_roots = set()
-        for u in range(1, r + 1):
-            for v in range(1, s + 1):
-                a_roots.add(_e2(n, p - u, 1, n - v, 1))
-                if iseq[u - 1] < jseq[v - 1]:
-                    a_roots.add(_e2(n, p - u, 1, p + v, 1))
-                else:
-                    a_roots.add(_e2(n, u - 1, 1, n - v, 1))
-        lam = [0] * n
+        a_roots, lam = _shuffle_term(n, p, p + 1, iseq, jseq)
         lam[p] = r + s + 1
-        for u in range(1, r + 1):
-            lam[u - 1] = n + 1 - iseq[u - 1]
-            lam[p - u] = iseq[u - 1]
-        for v in range(1, s + 1):
-            lam[p + v] = n + 1 - jseq[v - 1]
-            lam[n - v] = jseq[v - 1]
         out.append((frozenset(a_roots), c_roots, tuple(lam)))
     return out
 
@@ -195,7 +167,7 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     Covers so-odd forms 1 and 3 and so-even forms 1 and 3.  The third so-odd
     form has no survivors at all.
     """
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     p, q = case.p, case.q
     rank = case.rank
     H = Fraction(1, 2)
@@ -245,6 +217,26 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     raise ValueError(f"no term characterization for {case} form {form.index}")
 
 
+def predicted_terms(case: GroupCase, form: RealForm | int) -> list[
+        tuple[frozenset[Root], frozenset[Root], Weight]]:
+    """The predicted survivors (A, C, Lambda) at lambda_0, one per term.
+
+    Shuffle-indexed for sp and so-star, the unique pair of
+    ``predicted_unique_term`` for the other non-su forms it covers (a
+    ValueError for the rest).  su has no term-by-term prediction: its
+    survivors share one C, which ``check_oracle_against_brute_force`` checks.
+    """
+    form = get_form(case, form)
+    if case.family == "sp":
+        terms = [(a, frozenset(), lam)
+                 for a, lam in shuffle_terms_sp(case.n, form.kind)]
+    elif case.family == "so-star":
+        terms = shuffle_terms_so_star(case.n, form.kind)
+    else:
+        return predicted_unique_term(case, form)
+    return [(a, c, tuple(Fraction(x) for x in lam)) for a, c, lam in terms]
+
+
 def check_oracle_against_brute_force(
         case: GroupCase, form: RealForm | int,
         term_cap: int = DEFAULT_TERM_CAP,
@@ -254,49 +246,32 @@ def check_oracle_against_brute_force(
     ``survivors`` are those of ``surviving_terms(case, form)`` at lambda_0;
     they are enumerated here when not given.
     """
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     if survivors is None:
         survivors = surviving_terms(case, form, term_cap=term_cap)
-    found = {(frozenset(t.a_set), frozenset(t.c_set), t.weight)
-             for t in survivors}
-    if case.family == "sp":
-        predicted = {(a, frozenset(), tuple(Fraction(x) for x in lam))
-                     for a, lam in shuffle_terms_sp(case.n, form.kind)}
-        return found == predicted
-    if case.family == "so-star":
-        predicted = {(a, c, tuple(Fraction(x) for x in lam))
-                     for a, c, lam in shuffle_terms_so_star(case.n, form.kind)}
-        return found == predicted
     if case.family == "su":
         p, q, k = case.p, case.q, form.kind
         if len(survivors) != math.comb(p, k):
             return False
         shared = su_predicted_c(p, q, k) if q > p else frozenset()
         return all(frozenset(t.c_set) == shared for t in survivors)
-    predicted = {(a, c, lam) for a, c, lam in predicted_unique_term(case, form)}
-    return found == predicted
+    found = {(frozenset(t.a_set), frozenset(t.c_set), t.weight)
+             for t in survivors}
+    return found == set(predicted_terms(case, form))
 
 
 def oracle_total_matches(case: GroupCase, form: RealForm | int,
                          c_closed: int) -> bool:
     """Predicted signed total equals c * P_{L&K}(lambda_0)."""
     rs = build_root_system(case)
-    form = form if isinstance(form, RealForm) else get_form(case, form)
+    form = get_form(case, form)
     levi = levi_data(rs, form.h)
     lam0 = default_lambda(case, form)
     pk = make_dim_poly(rs.compact_positive, case.rank)
     plk = eval_dim_poly(levi_k_poly(rs, levi), lam0)
-    if case.family == "sp":
-        terms = [(a, frozenset(), lam) for a, lam in
-                 shuffle_terms_sp(case.n, form.kind)]
-    elif case.family == "so-star":
-        terms = [(a, c, lam) for a, c, lam in
-                 shuffle_terms_so_star(case.n, form.kind)]
-    else:
-        terms = predicted_unique_term(case, form)
     total = Fraction(0)
-    for a_set, c_set, lam in terms:
+    for a_set, c_set, lam in predicted_terms(case, form):
         sign = (-1) ** (len(a_set) + len(c_set))
-        total += sign * eval_dim_poly(pk, tuple(Fraction(x) for x in lam))
+        total += sign * eval_dim_poly(pk, lam)
     global_sign = (-1) ** (levi.big_n + len(levi.delta_n_plus_l))
     return global_sign * total == c_closed * plk

@@ -265,8 +265,10 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
     return tuple(forms)
 
 
-def get_form(case: GroupCase, index: int) -> RealForm:
-    """Real form by 1-based canonical index."""
+def get_form(case: GroupCase, index: RealForm | int) -> RealForm:
+    """Real form by 1-based canonical index; a RealForm is returned as is."""
+    if isinstance(index, RealForm):
+        return index
     forms = real_forms(case)
     if not 1 <= index <= len(forms):
         raise ValueError(

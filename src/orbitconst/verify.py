@@ -1,8 +1,11 @@
 """Acceptance checks: every verification the package promises, runnable as one suite.
 
 Each criterion function returns a dict with at least ``name``, ``passed`` and
-``details``.  ``run_all`` executes them in order and assembles a
-machine-readable report; the CLI ``verify`` command serializes it.
+``details``.  Every criterion that runs over cases takes them from
+``acceptance_cases``, the one place that names the parameter ranges and the
+``max_rank`` filter, and picks among them by family and form kind.
+``run_all`` executes them in order and assembles a machine-readable report;
+the CLI ``verify`` command serializes it.
 Evaluations are memoized by ``cached_constant`` on every argument of the
 pipeline, so overlapping criteria do not recompute them.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from fractions import Fraction
 
 from . import constants, oracles
@@ -166,12 +168,10 @@ def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
                 max_rank=None) -> dict:
     """The raw alternating sum vanishes identically for the third so-odd form."""
     bad, skipped = [], []
-    for p in range(1, 4):
-        for q in range(p, 5):
-            case = GroupCase.so_odd(p, q)
-            if max_rank is not None and case.rank > max_rank:
-                continue
-            form = next(f for f in real_forms(case) if f.kind == 3)
+    for case in acceptance_cases(max_rank):
+        if case.family != "so-odd":
+            continue
+        for form in (f for f in real_forms(case) if f.kind == 3):
             for lam in lambda_candidates(case, form, count=3, seed=seed):
                 try:
                     lhs = cached_constant(case, form, lam, "orig", term_cap,
@@ -186,13 +186,16 @@ def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
 
 
 def criterion_6(max_rank=None) -> dict:
-    """Automorphism sign relations between paired forms."""
+    """Automorphism sign relations between paired forms.
+
+    Forms I and II of every so-odd case are related by flipping coordinate
+    p-1 with sign -1, and of every so-even case that has a form II with sign
+    +1; so-even forms III and IV, where both exist, by flipping the last
+    coordinate with sign +1.
+    """
     bad = []
 
-    def check(case, i1, i2, coord, expected):
-        forms = real_forms(case)
-        f1 = forms[i1 - 1]
-        f2 = forms[i2 - 1]
+    def check(case, f1, f2, coord, expected):
         sigma = sign_flip_sigma(case.rank, coord)
         sign = auto_sign_relation(case, sigma, f1, f2)
         c1 = constant_closed_form(case, f1)
@@ -200,89 +203,53 @@ def criterion_6(max_rank=None) -> dict:
         if sign != expected or sign * c1 != c2:
             bad.append((str(case), f1.index, f2.index, sign, expected, c1, c2))
 
-    for p in range(1, 4):
-        for q in range(max(p - 1, 0), 5):
-            case = GroupCase.so_odd(p, q)
-            if max_rank is not None and case.rank > max_rank:
-                continue
-            check(case, 1, 2, p - 1, -1)
-    for p in range(2, 4):
-        for q in range(p, 5):
-            case = GroupCase.so_even(p, q)
-            if max_rank is not None and case.rank > max_rank:
-                continue
-            check(case, 1, 2, p - 1, +1)
-            if q == p:
-                forms = real_forms(case)
-                i3 = next(f.index for f in forms if f.kind == 3)
-                i4 = next(f.index for f in forms if f.kind == 4)
-                check(case, i3, i4, case.rank - 1, +1)
+    for case in acceptance_cases(max_rank):
+        kinds = {f.kind: f for f in real_forms(case)}
+        if case.family == "so-odd":
+            check(case, kinds[1], kinds[2], case.p - 1, -1)
+        elif case.family == "so-even" and 2 in kinds:
+            check(case, kinds[1], kinds[2], case.p - 1, +1)
+            if 4 in kinds:
+                check(case, kinds[3], kinds[4], case.rank - 1, +1)
     return {"id": 6, "name": "automorphism sign relations between paired forms",
             "passed": not bad, "details": {"failures": bad}}
 
 
 def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
-    """Survivor enumeration matches the combinatorial term characterizations."""
+    """Survivor enumeration matches the combinatorial term characterizations.
+
+    Every sp, so-star and su form is checked, and the first form of every
+    so-odd and so-even case; sp and so-star come first, interleaved by n.
+    """
     bad, skipped = [], []
-
-    def survivors_of(case, form):
-        """The enumerated survivors, or None for a form over the term cap."""
-        try:
-            return oracles.surviving_terms(case, form, term_cap=term_cap)
-        except TermCapExceeded:
-            skipped.append(f"{case} form {form.index}")
-            return None
-
-    def agrees(case, form, survivors):
-        return oracles.check_oracle_against_brute_force(case, form,
-                                                        survivors=survivors)
-
-    for n in range(1, 7):
-        for case in (GroupCase.sp(n), GroupCase.so_star(n)):
-            if max_rank is not None and case.rank > max_rank:
+    shuffled = ("sp", "so-star")
+    for case in sorted(acceptance_cases(max_rank),
+                       key=lambda c: (c.family not in shuffled, c.n or 0)):
+        forms = real_forms(case)
+        for form in forms if case.family in shuffled + ("su",) else forms[:1]:
+            try:
+                survivors = oracles.surviving_terms(case, form,
+                                                    term_cap=term_cap)
+            except TermCapExceeded:
+                skipped.append(f"{case} form {form.index}")
                 continue
-            for form in real_forms(case):
-                k = form.kind
-                survivors = survivors_of(case, form)
-                if survivors is None:
-                    continue
-                if not agrees(case, form, survivors):
-                    bad.append((str(case), form.index, "set mismatch"))
-                    continue
-                r = k // 2
-                s = ((n - k) // 2 if case.family == "sp" or n % 2 == 0
-                     else (n - 1 - k) // 2)
-                expect = (0 if case.family == "sp" and n % 2 == 0 and k % 2 == 1
-                          else math.comb(r + s, r))
-                if len(survivors) != expect:
-                    bad.append((str(case), form.index, "count"))
-                if any(abs(t.value) != 1 for t in survivors):
-                    bad.append((str(case), form.index, "value not +-1"))
-                if case.family == "sp":
-                    pq = k * (n - k)
-                    if any(len(t.a_set) * 2 != pq for t in survivors):
-                        bad.append((str(case), form.index, "#A != pq/2"))
-    for p in range(1, 6):
-        for q in range(p, 7 - p):
-            case = GroupCase.su(p, q)
-            if max_rank is not None and case.rank > max_rank:
+            if not oracles.check_oracle_against_brute_force(
+                    case, form, survivors=survivors):
+                bad.append((str(case), form.index,
+                            "set mismatch" if case.family in shuffled else
+                            "su oracle" if case.family == "su"
+                            else "unique survivor"))
                 continue
-            for form in real_forms(case):
-                survivors = survivors_of(case, form)
-                if survivors is not None and not agrees(case, form, survivors):
-                    bad.append((str(case), form.index, "su oracle"))
-    for builder, prange in ((GroupCase.so_odd, range(1, 4)),
-                            (GroupCase.so_even, range(1, 4))):
-        for p in prange:
-            qlo = max(p - 1, 0) if builder is GroupCase.so_odd else p
-            for q in range(qlo, 5):
-                case = builder(p, q)
-                if max_rank is not None and case.rank > max_rank:
-                    continue
-                form = real_forms(case)[0]
-                survivors = survivors_of(case, form)
-                if survivors is not None and not agrees(case, form, survivors):
-                    bad.append((str(case), 1, "unique survivor"))
+            if case.family not in shuffled:
+                continue
+            if len(survivors) != abs(constant_closed_form(case, form)):
+                bad.append((str(case), form.index, "count"))
+            if any(abs(t.value) != 1 for t in survivors):
+                bad.append((str(case), form.index, "value not +-1"))
+            if case.family == "sp":
+                pq = form.kind * (case.n - form.kind)
+                if any(len(t.a_set) * 2 != pq for t in survivors):
+                    bad.append((str(case), form.index, "#A != pq/2"))
     return {"id": 7, "name": "oracle agreement for surviving terms",
             "passed": not bad, "details": _details(bad, skipped)}
 

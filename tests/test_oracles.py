@@ -7,6 +7,7 @@ from orbitconst import (GroupCase, check_oracle_against_brute_force,
                         constant_closed_form, get_form, oracle_total_matches,
                         real_forms, shuffle_terms_so_star, shuffle_terms_sp,
                         shuffles, su_predicted_c, surviving_terms)
+from orbitconst.verify import acceptance_cases
 
 
 def test_shuffles_enumeration():
@@ -122,16 +123,18 @@ def test_so_even_form1_and_form3_unique_survivor():
 
 
 def test_oracle_totals_reproduce_constants():
-    for n in range(1, 6):
+    for n in range(1, 9):
         for case in (GroupCase.sp(n), GroupCase.so_star(n)):
             for form in real_forms(case):
                 c = constant_closed_form(case, form)
                 assert oracle_total_matches(case, form, c), (str(case), form.label)
-    for case in (GroupCase.so_odd(2, 3), GroupCase.so_even(2, 2)):
+    for case in acceptance_cases():
+        if case.family not in ("so-odd", "so-even"):
+            continue
         for form in real_forms(case):
             if form.kind in (1, 3):
                 c = constant_closed_form(case, form)
-                assert oracle_total_matches(case, form, c)
+                assert oracle_total_matches(case, form, c), (str(case), form.label)
 
 
 def test_surviving_terms_orig_variant():

@@ -1,0 +1,28 @@
+"""The package stays pure standard library: every module it imports is its
+own or ships with Python."""
+
+import ast
+import pathlib
+import sys
+
+import orbitconst
+
+PACKAGE = pathlib.Path(orbitconst.__file__).parent
+
+
+def _imported_modules(path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    foreign = {(path.name, name) for path in sources
+               for name in _imported_modules(path)
+               if name != "orbitconst" and name not in sys.stdlib_module_names}
+    assert foreign == set()

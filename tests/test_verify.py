@@ -74,5 +74,12 @@ def test_criterion_7_enumerates_each_form_once(monkeypatch):
         return enumerate_survivors(case, form, *args, **kwargs)
 
     monkeypatch.setattr(oracles, "surviving_terms", counted)
-    assert verify.criterion_7(max_rank=4)["passed"]
-    assert seen and len(seen) == len(set(seen))
+    assert verify.criterion_7(max_rank=5)["passed"]
+    assert len(seen) == len(set(seen))
+    # every sp, so-star and su form, and form 1 of every so-odd and so-even
+    # case, the so-odd cases with q = p - 1 among them
+    expected = {f"{case} form {form.index}"
+                for case in verify.acceptance_cases(5)
+                for form in real_forms(case)
+                if form.index == 1 or case.family in ("sp", "so-star", "su")}
+    assert set(seen) == expected
