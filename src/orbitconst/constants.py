@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .orbits import RealForm, get_form, real_forms
+from .orbits import RealForm, get_form
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
                       half_sum, pair)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly
@@ -141,7 +141,10 @@ def _value_on_h(root: Root, h: Sequence[int]) -> int:
 
 
 def levi_data(rs: RootSystem, h: Sequence[int]) -> LeviData:
-    """Classify every root of ``rs`` against h."""
+    """Classify every root of ``rs`` against h, which must have its rank."""
+    if len(h) != rs.case.rank:
+        raise ValueError(f"h has length {len(h)} but {rs.case} has rank "
+                         f"{rs.case.rank}")
     compact = rs.compact_set()
     delta_n = tuple(a for a in rs.noncompact_positive if _value_on_h(a, h) == 0)
     delta_p1 = tuple(sorted(
@@ -418,15 +421,10 @@ def _scale_for(lam: Weight) -> int:
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
                          variant: str):
     """Scaled base vector, per-root deltas and packed P_K numerator."""
-    rank = rs.case.rank
     scale = _scale_for(lam)
     base = [int(scale * Fraction(x)) for x in lam]
     if variant == "orig":
-        two_rho_n = [0] * rank
-        for a in levi.delta_n_plus_l:
-            for i, c in enumerate(a):
-                two_rho_n[i] += c
-        base = [b - (scale // 2) * c for b, c in zip(base, two_rho_n)]
+        base = [b - int(scale * r) for b, r in zip(base, levi.rho_n_l)]
         deltas = [tuple(scale * c for c in a) for a in levi.delta_n_plus_l]
     elif variant == "v2":
         deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
@@ -523,65 +521,40 @@ def _flip(vec: Sequence[Fraction], idx: int) -> Weight:
 def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
     """The fixed evaluation point lambda_0 of the family and form.
 
-    The II-variant forms (so-odd form 2, so-even forms 2 and 4) take the
-    coordinate-flipped lambda_0 of their partner form, matching the
-    automorphism that relates the two Levis.
+    Each family and form has one formula, valid at the boundaries too
+    (p = 1, q = p - 1, k = 0 or n - 1), where its empty ranges drop out.
+    sp and so-star with n even share theirs.  The II-variant forms (so-odd
+    form 2, so-even forms 2 and 4) take the coordinate-flipped lambda_0 of
+    their partner form, matching the automorphism that relates the two Levis.
     """
     form = get_form(case, form)
-    p, q, n = case.p, case.q, case.n
+    p, q, n, k = case.p, case.q, case.n, form.kind
     H = Fraction(1, 2)
     if case.family == "su":
-        k = form.kind
         left = [q - i for i in range(k)] + [p - i for i in range(p - k)]
         right = ([p - k - i for i in range(p - k)]
                  + [q - k - i for i in range(q - p)]
                  + [k - i for i in range(k)])
         return _as_weight(left + right)
-    if case.family == "sp":
-        k = form.kind
+    if case.family == "sp" or (case.family == "so-star" and n % 2 == 0):
         return _as_weight([n - i for i in range(k)] + [n - i for i in range(n - k)])
     if case.family == "so-star":
-        k = form.kind
-        if n % 2 == 0:
-            return _as_weight([n - i for i in range(k)]
-                              + [n - i for i in range(n - k)])
-        qq = n - 1 - k
-        if k == 0 and qq == 0:
-            return _as_weight([1])
-        if k == 0:
-            return _as_weight([1] + [n - 1 - i for i in range(qq)])
-        if qq == 0:
-            return _as_weight([n - i for i in range(k)] + [k + 1])
         return _as_weight([n - i for i in range(k)] + [k + 1]
-                          + [n - 1 - i for i in range(qq)])
-    if case.family == "so-odd":
-        if form.kind == 2:
-            return _flip(default_lambda(case, get_form(case, 1)), p - 1)
-        if form.kind == 1:
-            if p == 1 and q == 0:
-                return (H,)
-            if p == 1:
-                return _as_weight([H] + [q - i for i in range(q)])
-            if q == p - 1:
-                return _as_weight([H] + [p - H - i for i in range(p - 1)]
-                                  + [-1 - i for i in range(p - 1)])
-            return _as_weight([H] + [q + H - i for i in range(p - 1)]
-                              + [-1 - i for i in range(p - 1)]
-                              + [q - p + 1 - i for i in range(q - p + 1)])
-        # third real form, q >= p >= 1
+                          + [n - 1 - i for i in range(n - 1 - k)])
+    # so-odd and so-even
+    if k == 2:
+        return _flip(default_lambda(case, 1), p - 1)
+    if k == 4:
+        return _flip(default_lambda(case, 3), case.rank - 1)
+    if case.family == "so-odd" and k == 1:
+        return _as_weight([H] + [q + H - i for i in range(p - 1)]
+                          + [-1 - i for i in range(p - 1)]
+                          + [q - p + 1 - i for i in range(q - p + 1)])
+    if case.family == "so-odd":  # third real form, q >= p >= 1
         return _as_weight([q - 1 - H - i for i in range(p - 1)] + [q - p + H]
                           + [p - 1] + [-i for i in range(p - 1)]
                           + [q - p - i for i in range(q - p)])
-    # so-even
-    if form.kind == 2:
-        return _flip(default_lambda(case, get_form(case, 1)), p - 1)
-    if form.kind == 4:
-        forms = real_forms(case)
-        third = next(f for f in forms if f.kind == 3)
-        return _flip(default_lambda(case, third), case.rank - 1)
-    if form.kind == 1:
-        if p == 1:
-            return _as_weight([H] + [q - H - i for i in range(q)])
+    if k == 1:  # so-even from here
         return _as_weight([H] + [q - H - i for i in range(p - 1)]
                           + [-1 - H - i for i in range(p - 1)]
                           + [q - p + H - i for i in range(q - p + 1)])
@@ -645,15 +618,11 @@ def _closed_form_spec(case: GroupCase, form: RealForm | int):
     k = form.kind
     if case.family == "su":
         return k * (p + q - k), (p, k)
-    if case.family == "sp":
+    if case.family in ("sp", "so-star"):
         if n % 2 == 0 and k % 2 == 1:
             return None
         r, s = k // 2, (n - k) // 2
         return (k + 1) // 2, (r + s, r)
-    if case.family == "so-star":
-        r = k // 2
-        s = (n - k) // 2 if n % 2 == 0 else (n - 1 - k) // 2
-        return k // 2, (r + s, r)
     if case.family == "so-odd":
         if k == 3:
             return None

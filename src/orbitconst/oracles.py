@@ -6,7 +6,9 @@ combinatorial description of exactly those pairs: shuffle-indexed sets for
 sp and so-star, a unique pair for the first and third so-odd/so-even forms,
 and a shared C with a shuffle-indexed A for su.  Everything here is evaluated
 at the fixed point lambda_0 in the rho_n-free (v2) convention the
-characterizations use.
+characterizations use.  Every predicted Lambda comes from its own formula;
+no prediction reads ``default_lambda``, so a wrong lambda_0 cannot make a
+prediction agree with the enumeration it is checked against.
 """
 
 from __future__ import annotations
@@ -165,16 +167,15 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     """Survivor list for the so-odd/so-even forms with a full description.
 
     Covers so-odd forms 1 and 3 and so-even forms 1 and 3.  The third so-odd
-    form has no survivors at all.
+    form has no survivors at all.  Each Lambda comes from its own formula,
+    at the boundaries too, and never from ``default_lambda``, so the
+    prediction is independent of the pipeline it checks.
     """
     form = get_form(case, form)
     p, q = case.p, case.q
     rank = case.rank
     H = Fraction(1, 2)
-    lam0 = default_lambda(case, form)
     if case.family == "so-odd" and form.kind == 1:
-        if p == 1 or q == p - 1:
-            return [(frozenset(), frozenset(), lam0)]
         c_set = frozenset(_e2(rank, i - 1, 1, j - 1, -1)
                           for i in range(2, p + 1)
                           for j in range(2 * p, p + q + 1))
@@ -185,8 +186,6 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
     if case.family == "so-odd" and form.kind == 3:
         return []
     if case.family == "so-even" and form.kind == 1:
-        if p == 1:
-            return [(frozenset(), frozenset(), lam0)]
         c_set = frozenset(_e2(rank, i - 1, 1, j - 1, -1)
                           for i in range(2, p + 1)
                           for j in range(2 * p, p + q))
@@ -195,25 +194,18 @@ def predicted_unique_term(case: GroupCase, form: RealForm | int) -> list[
                + [q - H - t for t in range(q - p)] + [H])
         return [(frozenset(), c_set, tuple(Fraction(x) for x in lam))]
     if case.family == "so-even" and form.kind == 3:
-        if p == 1 and q == 1:
-            return [(frozenset(), frozenset(), lam0)]
         a_set = frozenset(_e2(rank, p - 1, 1, j - 1, -1)
                           for j in range(2 * p + 1, p + q + 1))
-        if q == p:
-            a_set = frozenset()
-        c_parts = []
-        if q > p:
-            c_parts += [_e2(rank, i - 1, 1, j - 1, -1)
-                        for i in range(1, p)
-                        for j in range(2 * p + 1, p + q + 1)]
-        c_parts += [_e2(rank, j - 1, 1, p - 1, s)
-                    for j in range(p + 2, 2 * p + 1) for s in (1, -1)]
-        c_parts += [_e2(rank, p, 1, i - 1, -1) for i in range(1, p)]
+        c_set = frozenset(
+            [_e2(rank, i - 1, 1, j - 1, -1)
+             for i in range(1, p) for j in range(2 * p + 1, p + q + 1)]
+            + [_e2(rank, j - 1, 1, p - 1, s)
+               for j in range(p + 2, 2 * p + 1) for s in (1, -1)]
+            + [_e2(rank, p, 1, i - 1, -1) for i in range(1, p)])
         lam = ([p - H - t for t in range(p - 1)] + [H] + [-H]
                + [-Fraction(3, 2) - t for t in range(p - 1)]
                + [q - H - t for t in range(q - p)])
-        return [(frozenset(a_set), frozenset(c_parts),
-                 tuple(Fraction(x) for x in lam))]
+        return [(a_set, c_set, tuple(Fraction(x) for x in lam))]
     raise ValueError(f"no term characterization for {case} form {form.index}")
 
 
@@ -253,7 +245,7 @@ def check_oracle_against_brute_force(
         p, q, k = case.p, case.q, form.kind
         if len(survivors) != math.comb(p, k):
             return False
-        shared = su_predicted_c(p, q, k) if q > p else frozenset()
+        shared = su_predicted_c(p, q, k)
         return all(frozenset(t.c_set) == shared for t in survivors)
     found = {(frozenset(t.a_set), frozenset(t.c_set), t.weight)
              for t in survivors}

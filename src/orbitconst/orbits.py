@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rootsys import GroupCase
+from .rootsys import GroupCase, Root, _e, _e2
 
 
 @dataclass(frozen=True)
@@ -125,30 +125,15 @@ def h_from_partition(lie_type: str, parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(values[:rank])
 
 
-def _simple_roots(case: GroupCase) -> list[tuple[int, ...]]:
-    m = case.rank
-    t = case.lie_type
-
-    def e(i, c=1):
-        v = [0] * m
-        v[i] = c
-        return v
-
-    def diff(i):
-        v = e(i)
-        v[i + 1] = -1
-        return v
-
-    simples = [diff(i) for i in range(m - 1)]
-    if t == "B" and m >= 1:
-        simples.append(e(m - 1))
-    elif t == "C" and m >= 1:
-        simples.append(e(m - 1, 2))
-    elif t == "D":
-        if m >= 2:
-            v = e(m - 2)
-            v[m - 1] = 1
-            simples.append(v)
+def _simple_roots(case: GroupCase) -> list[Root]:
+    m, t = case.rank, case.lie_type
+    simples = [_e2(m, i, 1, i + 1, -1) for i in range(m - 1)]
+    if t == "B":
+        simples.append(_e(m, m - 1))
+    elif t == "C":
+        simples.append(_e(m, m - 1, 2))
+    elif t == "D" and m >= 2:
+        simples.append(_e2(m, m - 2, 1, m - 1, 1))
     return simples
 
 
@@ -173,10 +158,9 @@ def h_from_signed_tableau(lie_type: str, tableau: SignedTableau,
         raise ValueError("signed-tableau recipe applies to types B and D")
     plus: list[int] = []
     minus: list[int] = []
-    for length, start in tableau.rows:
-        for k in range(length):
-            sign = start if k % 2 == 0 else ("-" if start == "+" else "+")
-            value = length - 1 - 2 * k
+    for signs in tableau.ascii_rows():
+        d = len(signs)
+        for sign, value in zip(signs, range(d - 1, -d, -2)):
             (plus if sign == "+" else minus).append(value)
     want_minus = 2 * q + 1 if lie_type == "B" else 2 * q
     if len(plus) != 2 * p or len(minus) != want_minus:
@@ -188,8 +172,8 @@ def h_from_signed_tableau(lie_type: str, tableau: SignedTableau,
     return tuple(plus[:p] + minus[:q])
 
 
-def _pair_rows(n_plus: int, n_minus: int, length: int = 2):
-    return [(length, "+")] * n_plus + [(length, "-")] * n_minus
+def _pair_rows(n_plus: int, n_minus: int):
+    return [(2, "+")] * n_plus + [(2, "-")] * n_minus
 
 
 def _tableau_su(p: int, q: int, k: int) -> SignedTableau:
@@ -269,6 +253,8 @@ def get_form(case: GroupCase, index: RealForm | int) -> RealForm:
     """Real form by 1-based canonical index; a RealForm is returned as is."""
     if isinstance(index, RealForm):
         return index
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise TypeError(f"form index must be an int, got {index!r}")
     forms = real_forms(case)
     if not 1 <= index <= len(forms):
         raise ValueError(

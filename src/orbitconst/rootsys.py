@@ -165,17 +165,11 @@ def type_a_positive_roots(m: int) -> list[Root]:
 
 
 def type_b_positive_roots(m: int) -> list[Root]:
-    roots = [_e2(m, i, 1, j, s) for i in range(m) for j in range(i + 1, m)
-             for s in (1, -1)]
-    roots += [_e(m, i) for i in range(m)]
-    return sorted(roots)
+    return sorted(type_d_positive_roots(m) + [_e(m, i) for i in range(m)])
 
 
 def type_c_positive_roots(m: int) -> list[Root]:
-    roots = [_e2(m, i, 1, j, s) for i in range(m) for j in range(i + 1, m)
-             for s in (1, -1)]
-    roots += [_e(m, i, 2) for i in range(m)]
-    return sorted(roots)
+    return sorted(type_d_positive_roots(m) + [_e(m, i, 2) for i in range(m)])
 
 
 def type_d_positive_roots(m: int) -> list[Root]:

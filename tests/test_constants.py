@@ -46,6 +46,15 @@ def test_levi_data_so_odd_p1_form1():
     assert levi.delta_p1 == ()
 
 
+def test_levi_data_rejects_h_of_another_rank():
+    # form 2 of SU(1,2) has an h of length 3; SU(1,1) has rank 2
+    case = GroupCase.su(1, 1)
+    foreign = get_form(GroupCase.su(1, 2), 2)
+    with pytest.raises(ValueError, match="h has length 3 but SU\\(1,1\\) "
+                                         "has rank 2"):
+        constant_brute_force_orig(case, foreign, default_lambda(case, 1))
+
+
 def test_delta_p1_includes_negative_roots():
     # third so-odd form: e_{p+1} - e_i lies in Delta(p_1) with negative sign
     case = GroupCase.so_odd(2, 2)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from orbitconst import (GroupCase, check_oracle_against_brute_force,
-                        constant_closed_form, get_form, oracle_total_matches,
-                        real_forms, shuffle_terms_so_star, shuffle_terms_sp,
-                        shuffles, su_predicted_c, surviving_terms)
+from orbitconst import (GroupCase, alternating_sum, build_root_system,
+                        check_oracle_against_brute_force,
+                        constant_closed_form, default_lambda, get_form,
+                        levi_data, oracle_total_matches, real_forms,
+                        shuffle_terms_so_star, shuffle_terms_sp, shuffles,
+                        su_predicted_c, surviving_terms)
+from orbitconst import oracles
+from orbitconst.oracles import predicted_terms
 from orbitconst.verify import acceptance_cases
 
 
@@ -131,10 +135,33 @@ def test_oracle_totals_reproduce_constants():
     for case in acceptance_cases():
         if case.family not in ("so-odd", "so-even"):
             continue
+        rs = build_root_system(case)
         for form in real_forms(case):
             if form.kind in (1, 3):
                 c = constant_closed_form(case, form)
                 assert oracle_total_matches(case, form, c), (str(case), form.label)
+                # the kernel's nonzero count is the predicted survivor count
+                levi = levi_data(rs, form.h)
+                nonzero = alternating_sum(rs, levi, default_lambda(case, form),
+                                          "v2")[1]
+                assert nonzero == len(predicted_terms(case, form)), (
+                    str(case), form.label)
+
+
+def test_predictions_do_not_read_default_lambda(monkeypatch):
+    # a prediction built from lambda_0 would agree with a wrong lambda_0
+    def refuse(*args):
+        raise AssertionError("a prediction read default_lambda")
+
+    monkeypatch.setattr(oracles, "default_lambda", refuse)
+    checked = 0
+    for case in acceptance_cases():
+        for form in real_forms(case):
+            if case.family in ("sp", "so-star") or (
+                    case.family in ("so-odd", "so-even") and form.kind in (1, 3)):
+                predicted_terms(case, form)
+                checked += 1
+    assert checked == 81
 
 
 def test_surviving_terms_orig_variant():
@@ -144,7 +171,6 @@ def test_surviving_terms_orig_variant():
     case = GroupCase.so_odd(1, 2)
     terms = surviving_terms(case, 1, variant="orig")
     assert len(terms) == 1
-    from orbitconst import default_lambda
     assert terms[0].weight == default_lambda(case, 1)   # rho_n(l) = 0 here
 
 
@@ -152,7 +178,6 @@ def test_surviving_term_weights_are_shifted_lambda():
     # v2 convention: weight = lambda0 - sum(A) - sum(C)
     case = GroupCase.sp(4)
     form = get_form(case, 3)
-    from orbitconst import default_lambda
     lam0 = default_lambda(case, form)
     for term in surviving_terms(case, form):
         shift = [Fraction(0)] * 4

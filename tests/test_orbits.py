@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from orbitconst import (GroupCase, SignedTableau, dominant_h,
+from orbitconst import (GroupCase, SignedTableau, dominant_h, get_form,
                         h_from_partition, h_from_signed_tableau, is_very_even,
                         orbit_partition, real_forms, validate_partition,
                         weighted_dynkin)
@@ -53,6 +55,17 @@ def test_real_form_lists():
     # so-odd keeps its second form even at p=1 (outer flip of the first)
     forms = real_forms(GroupCase.so_odd(1, 2))
     assert [f.h for f in forms] == [(2, 0, 0), (-2, 0, 0), (0, 2, 0)]
+
+
+def test_get_form_validates_the_index():
+    case = GroupCase.su(1, 2)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            get_form(case, bad)
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match=f"form {bad} does not exist"):
+            get_form(case, bad)
+    assert get_form(case, 2).kind == 1
 
 
 def test_real_form_counts():

@@ -1,5 +1,5 @@
 """The package stays pure standard library: every module it imports is its
-own or ships with Python."""
+own or ships with Python, and every name a module imports is used there."""
 
 import ast
 import pathlib
@@ -8,21 +8,44 @@ import sys
 import orbitconst
 
 PACKAGE = pathlib.Path(orbitconst.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
-def _imported_modules(path):
+def _tree(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _imported_modules(tree):
     """Top-level names of the absolute imports in one source file."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module.split(".")[0]
 
 
+def _unused_imports(tree):
+    """Names an import binds in one source file that the file never reads."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
 def test_package_imports_only_the_standard_library():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert len(sources) >= 8
-    foreign = {(path.name, name) for path in sources
-               for name in _imported_modules(path)
+    assert len(SOURCES) >= 8
+    foreign = {(path.name, name) for path in SOURCES
+               for name in _imported_modules(_tree(path))
                if name != "orbitconst" and name not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export, so it is the one module exempt
+    unused = {(path.name, name) for path in SOURCES
+              if path.name != "__init__.py"
+              for name in _unused_imports(_tree(path))}
+    assert unused == set()
