@@ -67,8 +67,7 @@ def _case_json(case: GroupCase) -> dict:
     return {"family": case.family, "params": case.params()}
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list[str]],
-               caption: str = "") -> None:
+def _emit_rows(fmt: str, header: list[str], rows: list[list[str]]) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -89,8 +88,6 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list[str]],
         return
     widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
               else len(str(h)) for i, h in enumerate(header)]
-    if caption:
-        print(caption)
     print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
@@ -224,8 +221,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_all(max_rank=args.max_rank, term_cap=args.term_cap,
-                     workers=args.workers, seed=args.seed,
-                     inject_fault=args.inject_fault)
+                     workers=args.workers, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -280,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     add_common(p_verify)
     p_verify.add_argument("--max-rank", type=int, default=None)
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help=argparse.SUPPRESS)  # harness self-test only
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -209,6 +209,9 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
           packed: Sequence[tuple[int, int, int, int]]) -> _Plan | None:
     """The walk for one sum, or None when a factor no root changes is zero.
 
+    That check covers every factor the roots leave unchanged, whether or not
+    they touch its coordinates: a zero such factor makes every term 0, which
+    ``finish`` and ``blocks`` would find only after walking the whole sum.
     Roots are ordered by repeatedly taking every remaining root that touches
     the coordinate with the fewest remaining roots, so coordinates finish,
     and classes split, early.
@@ -385,10 +388,8 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     cpus = os.cpu_count() or 1
     depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)
     items = _prefix(plan, depth)
-    if not items:
-        return 0, 0
     size = _pool_size(workers, cpus, len(items))
-    if size == 1:
+    if size <= 1:
         return _sum_from(plan, dict(items), depth)
     chunks = [dict(items[w::size]) for w in range(size)]
     with ProcessPoolExecutor(max_workers=size) as pool:

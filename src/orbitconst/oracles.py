@@ -37,13 +37,13 @@ class SurvivingTerm:
 
 
 def surviving_terms(case: GroupCase, form: RealForm | int,
-                    lam: Sequence | None = None, variant: str = "v2",
+                    variant: str = "v2",
                     term_cap: int = DEFAULT_TERM_CAP) -> list[SurvivingTerm]:
-    """All (A, C) pairs whose term is nonzero, with weights and values."""
+    """All (A, C) pairs whose term at lambda_0 is nonzero, with weights and
+    values."""
     rs = build_root_system(case)
     form = get_form(case, form)
-    lam = (tuple(Fraction(x) for x in lam) if lam is not None
-           else default_lambda(case, form))
+    lam = default_lambda(case, form)
     levi = levi_data(rs, form.h)
     pool = levi.delta_n_plus_l + levi.delta_p1
     n_a = len(levi.delta_n_plus_l)
@@ -231,16 +231,16 @@ def predicted_terms(case: GroupCase, form: RealForm | int) -> list[
 
 def check_oracle_against_brute_force(
         case: GroupCase, form: RealForm | int,
-        term_cap: int = DEFAULT_TERM_CAP,
         survivors: Sequence[SurvivingTerm] | None = None) -> bool:
-    """Whether the enumerated survivors match the combinatorial prediction.
+    """Whether the enumerated survivors at lambda_0 match the combinatorial
+    prediction.
 
-    ``survivors`` are those of ``surviving_terms(case, form)`` at lambda_0;
-    they are enumerated here when not given.
+    ``survivors`` are those of ``surviving_terms(case, form)``; they are
+    enumerated here, under the default term cap, when not given.
     """
     form = get_form(case, form)
     if survivors is None:
-        survivors = surviving_terms(case, form, term_cap=term_cap)
+        survivors = surviving_terms(case, form)
     if case.family == "su":
         p, q, k = case.p, case.q, form.kind
         if len(survivors) != math.comb(p, k):

@@ -140,7 +140,8 @@ def _simple_roots(case: GroupCase) -> list[Root]:
 def weighted_dynkin(case: GroupCase, h: Sequence[int]) -> tuple[int, ...]:
     """Labels alpha_i(h) on the simple roots of the fixed positive system."""
     if len(h) != case.rank:
-        raise ValueError("h has wrong length")
+        raise ValueError(f"h has length {len(h)} but {case} has rank "
+                         f"{case.rank}")
     labels = tuple(sum(c * x for c, x in zip(a, h)) for a in _simple_roots(case))
     if any(v < 0 for v in labels):
         raise ValueError(f"h={tuple(h)} is not dominant for {case}")

@@ -54,10 +54,9 @@ def _fmt_h(h) -> str:
 
 
 def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
-                            workers=1, inject_fault=False) -> list[dict]:
+                            workers=1) -> list[dict]:
     """Brute-force vs closed-form for every form of every in-range case."""
     rows = []
-    first = True
     for case in acceptance_cases(max_rank):
         for form in real_forms(case):
             row = {"case": str(case), "family": case.family,
@@ -72,18 +71,14 @@ def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
                 row["skipped"] = f"term cap: needs {exc.required} subsets"
                 rows.append(row)
                 continue
-            if inject_fault and first:
-                c_brute = -c_brute if c_brute else 1
-                first = False
             row["cBrute"] = c_brute
             row["agree"] = c_brute == c_closed
             rows.append(row)
     return rows
 
 
-def criterion_1(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
-                inject_fault=False) -> dict:
-    rows = table_reproduction_rows(max_rank, term_cap, workers, inject_fault)
+def criterion_1(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
+    rows = table_reproduction_rows(max_rank, term_cap, workers)
     checked = [r for r in rows if "agree" in r]
     bad = [r for r in checked if not r["agree"]]
     skipped = [r for r in rows if "skipped" in r]
@@ -94,8 +89,7 @@ def criterion_1(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                             for r in skipped],
                 "disagreements": [
                     {k: r[k] for k in ("case", "index", "cBrute", "cClosed")}
-                    for r in bad]},
-            "rows": rows}
+                    for r in bad]}}
 
 
 def criterion_2() -> dict:
@@ -294,10 +288,10 @@ def criterion_9(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
 
 
 def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
-            inject_fault=False, skip_determinism=False) -> dict:
+            skip_determinism=False) -> dict:
     """Run every criterion; returns the full report dict."""
     criteria = [
-        criterion_1(max_rank, term_cap, workers, inject_fault=inject_fault),
+        criterion_1(max_rank, term_cap, workers),
         criterion_2(),
         criterion_3(max_rank, term_cap, workers, seed),
         criterion_4(max_rank, term_cap, workers),
@@ -311,8 +305,7 @@ def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
     report = {
         "config": {"maxRank": max_rank, "termCap": term_cap, "seed": seed,
                    "workers": workers},
-        "criteria": [{k: v for k, v in c.items() if k != "rows"}
-                     for c in criteria],
+        "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),
     }
     return report

@@ -27,9 +27,6 @@ class DimPoly:
     rho_prime: Weight
     denominators: tuple[Fraction, ...]
 
-    def __call__(self, w: Sequence) -> Fraction:
-        return eval_dim_poly(self, w)
-
 
 def make_dim_poly(roots: Sequence[Root], rank: int) -> DimPoly:
     """Build the dimension polynomial of ``roots``.

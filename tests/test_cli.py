@@ -153,8 +153,10 @@ def test_verify_small_budget(capsys):
     assert [c["id"] for c in doc["criteria"]] == list(range(1, 10))
 
 
-def test_verify_inject_fault(capsys):
-    code, out, _ = run(capsys, "verify", "--max-rank", "2", "--inject-fault")
+def test_verify_exits_1_on_a_constant_disagreement(capsys, monkeypatch):
+    import orbitconst.verify as verify
+    monkeypatch.setattr(verify, "constant_closed_form", lambda case, form: 999)
+    code, out, _ = run(capsys, "verify", "--max-rank", "2")
     assert code == 1
     assert "FAIL" in out
 

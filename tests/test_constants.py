@@ -380,6 +380,15 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     assert (sum(t for t, _ in parts), sum(n for _, n in parts)) == expected
 
 
+def test_plan_is_none_for_a_zero_factor_the_roots_leave_unchanged():
+    # v_0 - v_1 is 0 at the base; the one root e_0 + e_1 touches both its
+    # coordinates but leaves it 0, so every term is 0
+    base, deltas, packed = (1, 1), ((1, 1),), ((0, 1, 1, -1),)
+    assert _plan(base, deltas, packed) is None
+    assert _subset_sum(base, deltas, packed) == \
+        _naive_sum(base, deltas, packed) == (0, 0)
+
+
 def test_plan_tests_each_factor_once_where_it_finishes():
     for case in acceptance_cases():
         rs = build_root_system(case)

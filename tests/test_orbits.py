@@ -41,6 +41,13 @@ def test_weighted_dynkin_examples():
         weighted_dynkin(GroupCase.sp(2), (0, 1))   # not dominant
 
 
+def test_weighted_dynkin_names_both_lengths():
+    case = GroupCase.su(1, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"h has length 3 but {case} has rank 2")):
+        weighted_dynkin(case, (1, 0, -1))
+
+
 def test_real_form_lists():
     forms = real_forms(GroupCase.su(2, 3))
     assert [f.h for f in forms] == [(-1, -1, 1, 1, 0),

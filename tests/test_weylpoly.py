@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitconst import (GroupCase, build_root_system, eval_dim_poly,
-                        make_dim_poly, type_a_positive_roots,
+                        make_dim_poly, pair, type_a_positive_roots,
                         type_b_positive_roots, type_d_positive_roots)
+from orbitconst.verify import acceptance_cases
 
 
 def _random_weight(rng, rank):
@@ -109,3 +112,31 @@ def test_length_mismatch():
     poly = make_dim_poly(type_b_positive_roots(2), 2)
     with pytest.raises(ValueError):
         eval_dim_poly(poly, (1, 2, 3))
+
+
+_COMPACT_SYSTEMS = [rs for rs in map(build_root_system, acceptance_cases())
+                    if rs.compact_positive]
+
+
+@st.composite
+def _reflections(draw):
+    """The root system of an acceptance case, one of its compact positive
+    roots and a weight with entries in (1/2)Z."""
+    rs = draw(st.sampled_from(_COMPACT_SYSTEMS))
+    alpha = draw(st.sampled_from(rs.compact_positive))
+    rank = rs.case.rank
+    lam = tuple(Fraction(k, 2) for k in draw(st.lists(
+        st.integers(-12, 12), min_size=rank, max_size=rank)))
+    return rs, alpha, lam
+
+
+@settings(deadline=None)
+@given(_reflections())
+def test_compact_poly_is_skew_under_compact_reflections(data):
+    # P_K(s_alpha lambda) = -P_K(lambda) for every compact positive alpha:
+    # P_K is W_K-skew
+    rs, alpha, lam = data
+    poly = make_dim_poly(rs.compact_positive, rs.case.rank)
+    coeff = 2 * pair(lam, alpha) / pair(alpha, alpha)
+    reflected = tuple(x - coeff * a for x, a in zip(lam, alpha))
+    assert eval_dim_poly(poly, reflected) == -eval_dim_poly(poly, lam)
