@@ -22,8 +22,9 @@ from fractions import Fraction
 from .constants import (DEFAULT_TERM_CAP, ConstantReport, LambdaDegenerateError,
                         NonIntegerQuotientError, TermCapExceeded, _constant,
                         closed_form_expr, constant_closed_form,
-                        lambda_candidates, levi_data)
-from .orbits import dominant_h, orbit_partition, real_forms, weighted_dynkin
+                        lambda_candidates, levi_data, worker_pool)
+from .orbits import (dominant_h, get_form, orbit_partition, real_forms,
+                     weighted_dynkin)
 from .rootsys import GroupCase, build_root_system
 from .verify import run_all
 
@@ -136,14 +137,11 @@ def _constant_report(case, form, method, term_cap, workers, seed) -> ConstantRep
 
 def cmd_constant(args) -> int:
     case = _case_from_args(args)
-    forms = real_forms(case)
-    if args.form != "all":
-        idx = int(args.form)
-        if not 1 <= idx <= len(forms):
-            raise ValueError(f"{case} has {len(forms)} forms, no form {idx}")
-        forms = (forms[idx - 1],)
-    reports = [_constant_report(case, f, args.method, args.term_cap,
-                                args.workers, args.seed) for f in forms]
+    forms = (real_forms(case) if args.form == "all"
+             else (get_form(case, int(args.form)),))
+    with worker_pool():
+        reports = [_constant_report(case, f, args.method, args.term_cap,
+                                    args.workers, args.seed) for f in forms]
     disagree = [r for r in reports if not r.agree]
     if args.format == "json":
         doc = {"case": _case_json(case), "forms": []}

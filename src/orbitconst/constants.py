@@ -29,7 +29,10 @@ scale is 0 is dropped; the rest are grouped into blocks that share no
 coordinate (K = K_1 x K_2 gives two), and a state's product is the product of
 its block values, each memoized on the block's digits.  The walk can be
 shared among worker processes, and the result is bit-identical for any
-worker count because every partial sum is an exact integer.
+worker count because every partial sum is an exact integer.  The pooled sums
+inside a ``worker_pool()`` block share one executor, which the first of them
+starts and the outermost block shuts down; a sum outside any block opens one
+for itself.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .orbits import RealForm, get_form
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
@@ -372,8 +377,60 @@ def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
 
 
 def _pool_size(workers: int, cpus: int, chunks: int) -> int:
-    """Worker processes to start: never more than the CPUs or the chunks."""
+    """Worker processes to use: never more than the CPUs or the chunks."""
     return min(workers, cpus, chunks)
+
+
+class _WorkerPool:
+    """The one executor that the pooled sums of a block share.
+
+    The executor starts with the first sum that needs it and is replaced when
+    a sum asks for another number of processes; the old one is shut down
+    first, so at most one is alive.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.executor = None
+
+    def get(self, size: int) -> ProcessPoolExecutor:
+        """The block's executor, with ``size`` processes."""
+        if self.executor is not None and self.size != size:
+            self.shutdown()
+        if self.executor is None:
+            self.executor = ProcessPoolExecutor(max_workers=size)
+            self.size = size
+        return self.executor
+
+    def shutdown(self) -> None:
+        executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
+
+
+_open_pool: ContextVar[_WorkerPool | None] = ContextVar("worker_pool",
+                                                        default=None)
+
+
+@contextmanager
+def worker_pool() -> Iterator[_WorkerPool]:
+    """A block whose pooled sums share one executor.
+
+    Entering a block while one is open in the same thread joins it; the
+    outermost block shuts the executor down when it exits, also on an
+    exception.
+    """
+    pool = _open_pool.get()
+    if pool is not None:
+        yield pool
+        return
+    pool = _WorkerPool()
+    token = _open_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _open_pool.reset(token)
+        pool.shutdown()
 
 
 def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
@@ -382,8 +439,10 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     The first few roots are walked here; the states of the nonzero classes
     are dealt round-robin in key order, one chunk per worker, and each worker
     reopens its chunk's classes, scales included, and walks them to the end;
-    a single chunk is walked here, without a pool.  Every part is an exact
-    integer, so the result is the same for any worker count.
+    a single chunk is walked here, without a pool.  The chunks go to the
+    executor of the open ``worker_pool`` block, with min(workers, CPUs)
+    processes; outside any block the sum opens a block of its own.  Every
+    part is an exact integer, so the result is the same for any worker count.
     """
     cpus = os.cpu_count() or 1
     depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)
@@ -392,9 +451,9 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     if size <= 1:
         return _sum_from(plan, dict(items), depth)
     chunks = [dict(items[w::size]) for w in range(size)]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        parts = list(pool.map(_sum_from, [plan] * size, chunks,
-                              [depth] * size))
+    with worker_pool() as pool:
+        parts = list(pool.get(min(workers, cpus)).map(
+            _sum_from, [plan] * size, chunks, [depth] * size))
     return sum(t for t, _ in parts), sum(nz for _, nz in parts)
 
 
@@ -444,7 +503,12 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     """Left-hand side of the defining equation at ``lam``.
 
     Returns (LHS value, number of nonzero terms, total term count).
+    Sums of at least 2^12 subsets use ``workers`` processes when it is above 1.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise TypeError(f"workers must be an int, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")

@@ -19,6 +19,7 @@ processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -178,10 +179,17 @@ def type_d_positive_roots(m: int) -> list[Root]:
 
 
 def pair(w: Sequence, r: Sequence) -> Fraction:
-    """Euclidean pairing <w, r>; realizes the <lambda, alpha> of all formulas."""
+    """Euclidean pairing <w, r>; realizes the <lambda, alpha> of all formulas.
+
+    The products are summed as integers over the common denominator of w,
+    and one Fraction is built at the end.
+    """
     if len(w) != len(r):
         raise ValueError(f"length mismatch: {len(w)} vs {len(r)}")
-    return sum((Fraction(a) * b for a, b in zip(w, r)), Fraction(0))
+    w = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in w]
+    den = math.lcm(*(a.denominator for a in w))
+    return Fraction(sum(a.numerator * (den // a.denominator) * b
+                        for a, b in zip(w, r))) / den
 
 
 def half_sum(roots: Iterable[Sequence[int]], rank: int) -> Weight:

@@ -277,10 +277,11 @@ def criterion_8(max_rank=None) -> dict:
 def criterion_9(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """Byte-identical reports for 1, 4 and 8 workers."""
     blobs = []
-    for workers in (1, 4, 8):
-        rows = table_reproduction_rows(max_rank, term_cap, workers)
-        blobs.append(json.dumps({"rows": rows}, sort_keys=True,
-                                separators=(",", ":")).encode())
+    with constants.worker_pool():
+        for workers in (1, 4, 8):
+            rows = table_reproduction_rows(max_rank, term_cap, workers)
+            blobs.append(json.dumps({"rows": rows}, sort_keys=True,
+                                    separators=(",", ":")).encode())
     passed = blobs[0] == blobs[1] == blobs[2]
     return {"id": 9, "name": "deterministic reports across worker counts",
             "passed": passed,
@@ -289,19 +290,23 @@ def criterion_9(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
 
 def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
             skip_determinism=False) -> dict:
-    """Run every criterion; returns the full report dict."""
-    criteria = [
-        criterion_1(max_rank, term_cap, workers),
-        criterion_2(),
-        criterion_3(max_rank, term_cap, workers, seed),
-        criterion_4(max_rank, term_cap, workers),
-        criterion_5(term_cap, workers, seed, max_rank),
-        criterion_6(max_rank),
-        criterion_7(max_rank, term_cap),
-        criterion_8(max_rank),
-    ]
-    if not skip_determinism:
-        criteria.append(criterion_9(max_rank, term_cap))
+    """Run every criterion; returns the full report dict.
+
+    The criteria's pooled sums share one executor.
+    """
+    with constants.worker_pool():
+        criteria = [
+            criterion_1(max_rank, term_cap, workers),
+            criterion_2(),
+            criterion_3(max_rank, term_cap, workers, seed),
+            criterion_4(max_rank, term_cap, workers),
+            criterion_5(term_cap, workers, seed, max_rank),
+            criterion_6(max_rank),
+            criterion_7(max_rank, term_cap),
+            criterion_8(max_rank),
+        ]
+        if not skip_determinism:
+            criteria.append(criterion_9(max_rank, term_cap))
     report = {
         "config": {"maxRank": max_rank, "termCap": term_cap, "seed": seed,
                    "workers": workers},

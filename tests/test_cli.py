@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from orbitconst import GroupCase, get_form
 from orbitconst.cli import main
 
 
@@ -79,6 +80,15 @@ def test_constant_nonexistent_form(capsys):
     code, _, err = run(capsys, "constant", "--group", "sp", "--n", "2",
                        "--form", "9")
     assert code == 2 and "error" in err
+
+
+def test_constant_out_of_range_form_is_get_forms_error(capsys):
+    code, out, err = run(capsys, "constant", "--group", "su", "--p", "1",
+                         "--q", "1", "--form", "5")
+    assert (code, out) == (2, "")
+    with pytest.raises(ValueError) as info:
+        get_form(GroupCase.su(1, 1), 5)
+    assert err == f"error: {info.value}\n"
 
 
 def test_constant_term_cap_exit(capsys):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
-                        TermCapExceeded, auto_sign_relation, brute_force_sum,
-                        build_root_system, closed_form_expr,
+                        TermCapExceeded, alternating_sum, auto_sign_relation,
+                        brute_force_sum, build_root_system, closed_form_expr,
                         constant_brute_force_orig, constant_brute_force_v2,
                         constant_closed_form, default_lambda, eval_dim_poly,
                         get_form, lambda_candidates, levi_data, levi_k_poly,
@@ -17,7 +18,7 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
 from orbitconst import constants
 from orbitconst.constants import (_blocks, _pack_roots, _plan, _pool_size,
                                   _prefix, _prepare_enumeration, _subset_sum,
-                                  _sum_from)
+                                  _sum_from, worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -478,6 +479,46 @@ def test_worker_split_is_exact():
     one = constant_brute_force_orig(case, form, lam=lam, workers=1)
     four = constant_brute_force_orig(case, form, lam=lam, workers=4)
     assert one == four == constant_closed_form(case, form)
+
+
+@pytest.mark.parametrize("workers, error", [
+    (0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError),
+    ("2", TypeError)])
+def test_workers_are_validated_where_they_enter(workers, error):
+    case = GroupCase.sp(2)
+    rs = build_root_system(case)
+    levi = levi_data(rs, get_form(case, 1).h)
+    with pytest.raises(error, match=re.escape(repr(workers))):
+        alternating_sum(rs, levi, default_lambda(case, 1), workers=workers)
+
+
+def _is_shut_down(executor) -> bool:
+    try:
+        executor.submit(pow, 2, 10)
+    except RuntimeError:
+        return True
+    return False
+
+
+def test_worker_pool_is_reentrant_and_keeps_one_executor():
+    with worker_pool() as pool:
+        with worker_pool():
+            first = pool.get(2)
+        assert pool.get(2) is first          # the inner exit kept it
+        second = pool.get(3)                 # another size replaces it
+        assert second is not first and _is_shut_down(first)
+    assert pool.executor is None and _is_shut_down(second)
+
+
+def test_worker_pool_shuts_down_on_an_exception():
+    with pytest.raises(RuntimeError, match="on purpose"):
+        with worker_pool() as pool:
+            executor = pool.get(2)
+            assert executor.submit(pow, 2, 10).result(timeout=60) == 1024
+            assert multiprocessing.active_children()
+            raise RuntimeError("on purpose")
+    assert pool.executor is None and _is_shut_down(executor)
+    assert multiprocessing.active_children() == []
 
 
 def test_auto_sign_relation_examples():

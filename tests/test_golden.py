@@ -10,6 +10,7 @@ only for an intended output change, and say so in CHANGES.md:
 import contextlib
 import io
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,17 @@ def test_cli_output_matches_golden(capsys, name):
     status = json.loads((GOLDEN / "status.json").read_text())
     assert code == status[name]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_pooled_verify_matches_golden(capsys):
+    # the worker count is the only byte it may change
+    code = main(["verify", "--workers", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    golden = (GOLDEN / "verify-json.out").read_text()
+    assert golden.count('"workers": 1') == 1
+    assert code == 1
+    assert out == golden.replace('"workers": 1', '"workers": 2')
+    assert multiprocessing.active_children() == []
 
 
 def _regenerate() -> None:

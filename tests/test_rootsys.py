@@ -99,6 +99,18 @@ def test_pair_examples():
         pair((1, 2), (1, 2, 3))
 
 
+def test_pair_equals_the_fraction_sum_for_every_rational_input():
+    weights = [(Fraction(1, 2), Fraction(-7, 3), 4), ("3/4", 2, "-1/6"),
+               (0.5, True, Fraction(5, 8)), (), (Fraction(9, 2),) * 3]
+    for w in weights:
+        for r in ((1, -1, 0), (2, 0, 0), (0, 1, 1), (Fraction(1, 2), 1, 3)):
+            r = r[:len(w)]
+            got = pair(w, r)
+            assert type(got) is Fraction
+            assert got == sum((Fraction(a) * b for a, b in zip(w, r)),
+                              Fraction(0)), (w, r)
+
+
 def test_half_sum_examples():
     assert half_sum([(1, 1)], 2) == (Fraction(1, 2), Fraction(1, 2))
     assert half_sum([], 3) == (0, 0, 0)

@@ -1,7 +1,10 @@
-"""The memo behind the criteria, the forms they skip over the term cap, and
-what criterion 7 enumerates."""
+"""The memo behind the criteria, the forms they skip over the term cap, what
+criterion 7 enumerates, and the one executor a run shares."""
 
-from orbitconst import oracles, verify
+import functools
+import multiprocessing
+
+from orbitconst import constants, oracles, verify
 from orbitconst.constants import levi_data
 from orbitconst.orbits import real_forms
 from orbitconst.rootsys import build_root_system
@@ -83,3 +86,22 @@ def test_criterion_7_enumerates_each_form_once(monkeypatch):
                 for form in real_forms(case)
                 if form.index == 1 or case.family in ("sp", "so-star", "su")}
     assert set(seen) == expected
+
+
+def test_run_all_shares_one_executor_across_its_criteria(monkeypatch):
+    serial = verify.run_all(workers=1, skip_determinism=True)
+    started = []
+
+    def counted(*args, **kwargs):
+        started.append(kwargs)
+        return executor(*args, **kwargs)
+
+    executor = constants.ProcessPoolExecutor
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", counted)
+    # a memo of its own, so the pooled sums run again
+    monkeypatch.setattr(verify, "cached_constant", functools.lru_cache(
+        maxsize=None)(constants._constant))
+    pooled = verify.run_all(workers=2, skip_determinism=True)
+    assert len(started) == 1
+    assert pooled["criteria"] == serial["criteria"]
+    assert multiprocessing.active_children() == []
