@@ -1,8 +1,8 @@
 """Exact constants relating Dirac index polynomials to associated-cycle
 multiplicities, for real forms of classical nilpotent orbits."""
 
-from .constants import (ConstantReport, Evaluation, LambdaDegenerateError,
-                        LeviData, NonIntegerQuotientError, OrthogonalityError,
+from .constants import (Evaluation, LambdaDegenerateError, LeviData,
+                        NonIntegerQuotientError, OrthogonalityError,
                         SignedPermutation, TermCapExceeded, alternating_sum,
                         auto_sign_relation, brute_force_sum, closed_form_expr,
                         constant_brute_force_orig, constant_brute_force_v2,

@@ -2,7 +2,7 @@
 
 Commands
     real-forms   list a case's real forms with h-vectors and signed tableaux
-    constant     compute constants by brute force and/or the closed form
+    constant     closed form, plus the brute force unless ``--method closed``
     verify       run the full acceptance suite, JSON summary, exit code
     table        emit the per-family constants table (text/csv/json/latex)
 
@@ -19,10 +19,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .constants import (DEFAULT_TERM_CAP, ConstantReport, LambdaDegenerateError,
+from .constants import (DEFAULT_TERM_CAP, LambdaDegenerateError,
                         NonIntegerQuotientError, TermCapExceeded, _constant,
-                        closed_form_expr, constant_closed_form,
-                        lambda_candidates, levi_data, worker_pool)
+                        closed_form_expr, constant_closed_form, levi_data,
+                        worker_pool)
 from .orbits import (dominant_h, get_form, orbit_partition, real_forms,
                      weighted_dynkin)
 from .rootsys import GroupCase, build_root_system
@@ -32,16 +32,10 @@ FORMATS = ("text", "json", "csv", "latex")
 
 
 def _case_from_args(args) -> GroupCase:
-    group = args.group
-    if group is None:
+    if args.group is None:
         raise ValueError("--group is required")
-    if group in ("su", "so-odd", "so-even"):
-        if args.p is None or args.q is None:
-            raise ValueError(f"--group {group} requires --p and --q")
-        return GroupCase(group, p=args.p, q=args.q)
-    if args.n is None:
-        raise ValueError(f"--group {group} requires --n")
-    return GroupCase(group, n=args.n)
+    # GroupCase rejects a missing parameter and one the family does not take
+    return GroupCase(args.group, p=args.p, q=args.q, n=args.n)
 
 
 def _fmt_h(case: GroupCase, h) -> str:
@@ -124,53 +118,55 @@ def cmd_real_forms(args) -> int:
     return 0
 
 
-def _constant_report(case, form, method, term_cap, workers, seed) -> ConstantReport:
-    c_closed = constant_closed_form(case, form)
-    if method == "closed":
-        return ConstantReport(form, c_closed)
-    # lambda_0, or a resampled shift when lambda_0 is degenerate
-    lam = lambda_candidates(case, form, count=1, seed=seed,
-                            require_default=False)[0]
-    return ConstantReport(form, c_closed,
-                          _constant(case, form, lam, "orig", term_cap, workers))
+def _forms_from_arg(case: GroupCase, value: str):
+    if value == "all":
+        return real_forms(case)
+    try:
+        index = int(value)
+    except ValueError:
+        raise ValueError(f"--form must be a 1-based index or 'all', "
+                         f"got {value!r}") from None
+    return (get_form(case, index),)
 
 
 def cmd_constant(args) -> int:
     case = _case_from_args(args)
-    forms = (real_forms(case) if args.form == "all"
-             else (get_form(case, int(args.form)),))
+    forms = _forms_from_arg(case, args.form)
+    brute = args.method == "both"
+    # the sum at lambda_0, which is regular on every form; were it not,
+    # Evaluation.constant raises LambdaDegenerateError naming the form
     with worker_pool():
-        reports = [_constant_report(case, f, args.method, args.term_cap,
-                                    args.workers, args.seed) for f in forms]
-    disagree = [r for r in reports if not r.agree]
+        results = [(f, constant_closed_form(case, f),
+                    _constant(case, f, None, "orig", args.term_cap,
+                              args.workers) if brute else None)
+                   for f in forms]
+    agree = [ev is None or ev.constant == c for _, c, ev in results]
     if args.format == "json":
         doc = {"case": _case_json(case), "forms": []}
-        for r in reports:
-            entry = {"index": r.form.index, "label": r.form.label,
-                     "h": _json_weight(r.form.h),
-                     "N": _big_n(case, r.form),
-                     "cClosed": r.c_closed}
-            if r.evaluation is not None:
-                entry["cBrute"] = r.c_brute
-                entry["agree"] = r.agree
-                entry["lambdaUsed"] = [_json_weight(r.evaluation.lam)]
-                entry["termCount"] = r.evaluation.subsets
-                entry["survivingTermCount"] = r.evaluation.nonzero
+        for (f, c, ev), ok in zip(results, agree):
+            entry = {"index": f.index, "label": f.label,
+                     "h": _json_weight(f.h), "N": _big_n(case, f),
+                     "cClosed": c}
+            if ev is not None:
+                entry["cBrute"] = ev.constant
+                entry["agree"] = ok
+                entry["lambdaUsed"] = [_json_weight(ev.lam)]
+                entry["termCount"] = ev.subsets
+                entry["survivingTermCount"] = ev.nonzero
             doc["forms"].append(entry)
         print(json.dumps(doc, indent=2, sort_keys=True))
-        return 1 if disagree else 0
-    header = ["group", "index", "label", "h", "cClosed"]
-    if args.method != "closed":
-        header += ["cBrute", "agree"]
-    rows = []
-    for r in reports:
-        row = [str(case), r.form.index, r.form.label, _fmt_h(case, r.form.h),
-               r.c_closed]
-        if args.method != "closed":
-            row += [r.c_brute, "yes" if r.agree else "NO"]
-        rows.append(row)
-    _emit_rows(args.format, header, rows)
-    return 1 if disagree else 0
+    else:
+        header = ["group", "index", "label", "h", "cClosed"]
+        if brute:
+            header += ["cBrute", "agree"]
+        rows = []
+        for (f, c, ev), ok in zip(results, agree):
+            row = [str(case), f.index, f.label, _fmt_h(case, f.h), c]
+            if ev is not None:
+                row += [ev.constant, "yes" if ok else "NO"]
+            rows.append(row)
+        _emit_rows(args.format, header, rows)
+    return 0 if all(agree) else 1
 
 
 def _big_n(case, form) -> int:
@@ -246,35 +242,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int)
         p.add_argument("--n", type=int)
 
-    def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default="text")
+    def add_sum_flags(p):
         p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     p_forms = sub.add_parser("real-forms", help="list real forms of a case")
     add_case_flags(p_forms)
-    p_forms.add_argument("--format", choices=FORMATS, default="text")
     p_forms.set_defaults(func=cmd_real_forms)
 
     p_const = sub.add_parser("constant", help="compute constants for a case")
     add_case_flags(p_const)
-    add_common(p_const)
+    add_sum_flags(p_const)
     p_const.add_argument("--form", default="all",
                          help="1-based form index, or 'all'")
-    p_const.add_argument("--method", choices=("brute", "closed", "both"),
+    p_const.add_argument("--method", choices=("closed", "both"),
                          default="both")
     p_const.set_defaults(func=cmd_constant)
 
     p_table = sub.add_parser("table", help="emit the constants table")
     add_case_flags(p_table)
-    add_common(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    add_common(p_verify)
+    add_sum_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--max-rank", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
+    for p in (p_forms, p_const, p_table, p_verify):
+        p.add_argument("--format", choices=FORMATS, default="text")
     return parser
 
 

@@ -124,23 +124,6 @@ class Evaluation:
         return int(c)
 
 
-@dataclass(frozen=True)
-class ConstantReport:
-    """Closed form of a form, with its brute-force evaluation if one was run."""
-
-    form: RealForm
-    c_closed: int
-    evaluation: Evaluation | None = None
-
-    @property
-    def c_brute(self) -> int | None:
-        return None if self.evaluation is None else self.evaluation.constant
-
-    @property
-    def agree(self) -> bool:
-        return self.c_brute is None or self.c_brute == self.c_closed
-
-
 def _value_on_h(root: Root, h: Sequence[int]) -> int:
     return sum(c * x for c, x in zip(root, h))
 
@@ -629,24 +612,20 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
 
 
 def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
-                      seed: int = 0, require_default: bool = True) -> list[Weight]:
+                      seed: int = 0) -> list[Weight]:
     """lambda_0 plus pseudo-random regular shifts with P_{L&K} nonzero.
 
     Shifts are nonnegative integer combinations of the partial-sum weights
-    (1,..,1,0,..,0); candidates with P_{L&K}(lambda) = 0 are rejected.  With
-    ``require_default`` off, a degenerate lambda_0 is dropped instead of being
-    an error (the resampling path of the CLI).
+    (1,..,1,0,..,0); candidates with P_{L&K}(lambda) = 0 are rejected.
     """
     rs = build_root_system(case)
     form = get_form(case, form)
     levi = levi_data(rs, form.h)
     plk = levi_k_poly(rs, levi)
     lam0 = default_lambda(case, form)
-    chosen = []
-    if eval_dim_poly(plk, lam0) != 0:
-        chosen.append(lam0)
-    elif require_default:
+    if eval_dim_poly(plk, lam0) == 0:
         raise LambdaDegenerateError(f"lambda_0 is degenerate for {case}")
+    chosen = [lam0]
     rng = random.Random(seed)
     rank = case.rank
     attempts = 0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from orbitconst import GroupCase, get_form
-from orbitconst.cli import main
+from orbitconst.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -91,6 +91,58 @@ def test_constant_out_of_range_form_is_get_forms_error(capsys):
     assert err == f"error: {info.value}\n"
 
 
+def test_constant_form_must_be_an_index_or_all(capsys):
+    code, out, err = run(capsys, "constant", "--group", "sp", "--n", "2",
+                         "--form", "abc")
+    assert (code, out) == (2, "")
+    assert err == "error: --form must be a 1-based index or 'all', got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["real-forms", "--group", "su", "--p", "1", "--q", "1", "--n", "9"],
+     "su takes parameters p and q"),
+    (["real-forms", "--group", "su", "--p", "1"], "su takes parameters p and q"),
+    (["constant", "--group", "sp", "--n", "2", "--p", "7", "--method",
+      "closed"], "sp takes parameter n"),
+    (["constant", "--group", "so-odd", "--p", "2", "--q", "2", "--n", "1"],
+     "so-odd takes parameters p and q"),
+    (["table", "--group", "so-star", "--n", "3", "--q", "1"],
+     "so-star takes parameter n"),
+    (["table", "--group", "so-star"], "so-star takes parameter n"),
+])
+def test_case_flags_the_family_does_not_take(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+class _ReadRecorder:
+    """A parsed namespace that records which attributes a command reads."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["real-forms", "--group", "sp", "--n", "2"],
+    ["constant", "--group", "sp", "--n", "2"],
+    ["table", "--group", "sp", "--n", "2"],
+    ["verify", "--max-rank", "1"],
+])
+def test_every_flag_is_read_by_its_command(capsys, argv):
+    # a flag its command never reads is a setting that does nothing
+    args = build_parser().parse_args(argv)
+    recorder = _ReadRecorder(args)
+    args.func(recorder)
+    capsys.readouterr()
+    assert set(vars(args)) - {"command", "func"} - recorder.read == set()
+
+
 def test_constant_term_cap_exit(capsys):
     code, _, err = run(capsys, "constant", "--group", "so-odd", "--p", "3",
                        "--q", "4", "--form", "3", "--term-cap", "16")
@@ -139,8 +191,22 @@ def test_table_deterministic(capsys):
 
 
 def test_constant_method_brute(capsys):
+    # flags that changed no output are usage errors; the default method still
+    # runs the brute force
+    sp2 = ["--group", "sp", "--n", "2"]
+    for argv in (["constant", *sp2, "--method", "brute"],
+                 ["constant", *sp2, "--seed", "1"],
+                 ["table", *sp2, "--term-cap", "5"],
+                 ["table", *sp2, "--workers", "2"],
+                 ["table", *sp2, "--seed", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert ("invalid choice: 'brute'" in err if "brute" in argv
+                else "unrecognized arguments" in err)
     code, out, _ = run(capsys, "constant", "--group", "sp", "--n", "3",
-                       "--method", "brute", "--format", "json")
+                       "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert all("cBrute" in f for f in doc["forms"])
@@ -179,7 +245,6 @@ def test_flags_below_one_are_usage_errors(capsys, value):
     verify = ["verify", "--max-rank", "1"]
     for argv, flag in ((constant, "--workers"), (verify, "--workers"),
                        (constant, "--term-cap"), (verify, "--term-cap"),
-                       (["table", "--group", "sp", "--n", "2"], "--term-cap"),
                        (["verify"], "--max-rank")):
         with pytest.raises(SystemExit) as info:
             main([*argv, flag, value])

@@ -159,9 +159,11 @@ def test_default_lambda_examples():
 
 
 def test_default_lambda_never_degenerate():
-    for case in (GroupCase.su(2, 4), GroupCase.sp(5), GroupCase.so_odd(3, 3),
-                 GroupCase.so_even(3, 4), GroupCase.so_star(6),
-                 GroupCase.so_star(5)):
+    # the CLI evaluates at lambda_0 alone, with no fallback: every acceptance
+    # form (123) and the 39 forms of the rank 9-10 cases beyond the range
+    for case in (*acceptance_cases(), GroupCase.sp(10), GroupCase.so_star(9),
+                 GroupCase.so_star(10), GroupCase.su(4, 6), GroupCase.su(5, 5),
+                 GroupCase.so_even(4, 5), GroupCase.so_odd(4, 5)):
         rs = build_root_system(case)
         for form in real_forms(case):
             levi = levi_data(rs, form.h)
