@@ -177,6 +177,9 @@ def _big_n(case, form) -> int:
 def _table_cases(args) -> list[GroupCase]:
     if args.group is not None:
         return [_case_from_args(args)]
+    for flag in ("p", "q", "n"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} needs --group")
     return [GroupCase.su(1, 1), GroupCase.so_odd(1, 1), GroupCase.sp(1),
             GroupCase.so_even(1, 1), GroupCase.so_star(1)]
 

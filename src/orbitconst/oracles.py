@@ -1,14 +1,22 @@
 """Combinatorial characterizations of the nonzero terms, as a second check.
 
-The brute-force enumeration reports which subset pairs (A, C) contribute a
-nonzero Weyl-polynomial value.  For each family there is an independent
-combinatorial description of exactly those pairs: shuffle-indexed sets for
-sp and so-star, a unique pair for the first and third so-odd/so-even forms,
-and a shared C with a shuffle-indexed A for su.  Everything here is evaluated
-at the fixed point lambda_0 in the rho_n-free (v2) convention the
-characterizations use.  Every predicted Lambda comes from its own formula;
-no prediction reads ``default_lambda``, so a wrong lambda_0 cannot make a
-prediction agree with the enumeration it is checked against.
+``surviving_terms`` names every subset pair (A, C) that contributes a
+nonzero Weyl-polynomial value.  It walks the pool roots depth first, root
+m-1 first and root 0 last, so the survivors come out in ascending order of
+their subset bit mask, and tests each compact factor once, as soon as the
+last root that moves one of its coordinates is decided; a zero there prunes
+only subsets whose term is zero.  It shares only the scaled set-up with the
+alternating-sum kernel, never its walk, and the test suite checks it
+against the naive enumeration of all 2^m subsets.
+
+For each family there is an independent combinatorial description of
+exactly those pairs: shuffle-indexed sets for sp and so-star, a unique pair
+for the first and third so-odd/so-even forms, and a shared C with a
+shuffle-indexed A for su.  Everything here is evaluated at the fixed point
+lambda_0 in the rho_n-free (v2) convention the characterizations use.
+Every predicted Lambda comes from its own formula; no prediction reads
+``default_lambda``, so a wrong lambda_0 cannot make a prediction agree with
+the enumeration it is checked against.
 """
 
 from __future__ import annotations
@@ -40,7 +48,19 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
                     variant: str = "v2",
                     term_cap: int = DEFAULT_TERM_CAP) -> list[SurvivingTerm]:
     """All (A, C) pairs whose term at lambda_0 is nonzero, with weights and
-    values."""
+    values, in ascending order of the subset bit mask over the pool.
+
+    A depth-first walk decides pool root m-1 first and root 0 last, and
+    leaves a root out before it adds it, which visits the subsets in
+    ascending bit order.  One weight vector is updated in place as roots are
+    added and taken out.  Coordinate i is final once no undecided root moves
+    it, that is once root ``first[i]`` (the lowest pool index that moves it)
+    is decided.  A compact factor on (i, j) is therefore tested exactly when
+    root min(first[i], first[j]) is decided, or before the walk starts if no
+    root moves it.  Its value there is its value at every leaf below, so a
+    zero abandons a branch with no survivor in it, and every leaf that is
+    reached has had every factor tested and carries their product.
+    """
     rs = build_root_system(case)
     form = get_form(case, form)
     lam = default_lambda(case, form)
@@ -53,27 +73,48 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
     base, deltas, packed, pk_denominator = _prepare_enumeration(
         rs, levi, lam, variant)
     scale = _scale_for(lam)
+    moves = [[(k, d) for k, d in enumerate(delta) if d] for delta in deltas]
+    first = [m] * len(base)
+    for t in reversed(range(m)):
+        for k, _ in moves[t]:
+            first[k] = t
+    tests = [[] for _ in range(m + 1)]
+    for i, ci, j, cj in packed:
+        tests[min(first[i], first[j] if j >= 0 else m)].append((i, ci, j, cj))
+    vec = list(base)
     out = []
-    for bits in range(1 << m):
-        vec = list(base)
-        for t in range(m):
-            if (bits >> t) & 1:
-                for k, d in enumerate(deltas[t]):
-                    vec[k] += d
-        prod = 1
-        for (i, ci, j, cj) in packed:
+
+    def tested(prod: int, t: int) -> int:
+        for i, ci, j, cj in tests[t]:
             f = ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
             if f == 0:
-                prod = 0
-                break
+                return 0
             prod *= f
-        if prod == 0:
-            continue
-        a_set = tuple(pool[t] for t in range(n_a) if (bits >> t) & 1)
-        c_set = tuple(pool[t] for t in range(n_a, m) if (bits >> t) & 1)
-        weight = tuple(Fraction(v, scale) for v in vec)
-        out.append(SurvivingTerm(a_set, c_set, weight,
-                                 Fraction(prod) / pk_denominator))
+        return prod
+
+    def walk(t: int, bits: int, prod: int) -> None:
+        if t == 0:
+            a_set = tuple(pool[s] for s in range(n_a) if (bits >> s) & 1)
+            c_set = tuple(pool[s] for s in range(n_a, m) if (bits >> s) & 1)
+            weight = tuple(Fraction(v, scale) for v in vec)
+            out.append(SurvivingTerm(a_set, c_set, weight,
+                                     Fraction(prod) / pk_denominator))
+            return
+        t -= 1
+        left_out = tested(prod, t)
+        if left_out:
+            walk(t, bits, left_out)
+        for k, d in moves[t]:
+            vec[k] += d
+        added = tested(prod, t)
+        if added:
+            walk(t, bits | 1 << t, added)
+        for k, d in moves[t]:
+            vec[k] -= d
+
+    prod = tested(1, m)
+    if prod:
+        walk(m, 0, prod)
     return out
 
 

@@ -109,6 +109,7 @@ def test_constant_form_must_be_an_index_or_all(capsys):
     (["table", "--group", "so-star", "--n", "3", "--q", "1"],
      "so-star takes parameter n"),
     (["table", "--group", "so-star"], "so-star takes parameter n"),
+    (["table", "--n", "3", "--format", "csv"], "--n needs --group"),
 ])
 def test_case_flags_the_family_does_not_take(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -10,7 +10,8 @@ from orbitconst import (GroupCase, alternating_sum, build_root_system,
                         shuffle_terms_so_star, shuffle_terms_sp, shuffles,
                         su_predicted_c, surviving_terms)
 from orbitconst import oracles
-from orbitconst.oracles import predicted_terms
+from orbitconst.constants import _prepare_enumeration, _scale_for
+from orbitconst.oracles import SurvivingTerm, predicted_terms
 from orbitconst.verify import acceptance_cases
 
 
@@ -184,3 +185,47 @@ def test_surviving_term_weights_are_shifted_lambda():
         for root in term.a_set + term.c_set:
             shift = [s + c for s, c in zip(shift, root)]
         assert tuple(l - s for l, s in zip(lam0, shift)) == term.weight
+
+
+def _naive_surviving_terms(case, form, variant):
+    """The reference: every subset's weight rebuilt from scratch, in
+    ascending bit order, with every compact factor tested at the leaf."""
+    rs = build_root_system(case)
+    lam = default_lambda(case, form)
+    levi = levi_data(rs, form.h)
+    pool = levi.delta_n_plus_l + levi.delta_p1
+    n_a, m = len(levi.delta_n_plus_l), len(pool)
+    base, deltas, packed, pk_denominator = _prepare_enumeration(
+        rs, levi, lam, variant)
+    scale = _scale_for(lam)
+    out = []
+    for bits in range(1 << m):
+        chosen = [t for t in range(m) if (bits >> t) & 1]
+        vec = [b + sum(deltas[t][k] for t in chosen)
+               for k, b in enumerate(base)]
+        prod = math.prod(ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
+                         for i, ci, j, cj in packed)
+        if prod:
+            out.append(SurvivingTerm(
+                tuple(pool[t] for t in chosen if t < n_a),
+                tuple(pool[t] for t in chosen if t >= n_a),
+                tuple(Fraction(v, scale) for v in vec),
+                Fraction(prod) / pk_denominator))
+    return out
+
+
+def test_surviving_terms_equal_the_naive_enumeration():
+    # the pruned walk names the same survivors in the same order
+    checked = 0
+    for case in acceptance_cases():
+        rs = build_root_system(case)
+        for form in real_forms(case):
+            levi = levi_data(rs, form.h)
+            if len(levi.delta_n_plus_l) + len(levi.delta_p1) > 12:
+                continue
+            for variant in ("v2", "orig"):
+                assert (surviving_terms(case, form, variant)
+                        == _naive_surviving_terms(case, form, variant)), (
+                    str(case), form.label, variant)
+                checked += 1
+    assert checked == 230
