@@ -270,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_sum_flags(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--max-rank", type=int, default=None)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
-    for p in (p_forms, p_const, p_table, p_verify):
+    for p in (p_forms, p_const, p_table):
         p.add_argument("--format", choices=FORMATS, default="text")
     return parser
 

@@ -359,11 +359,6 @@ def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
                   for kv in states.items())
 
 
-def _pool_size(workers: int, cpus: int, chunks: int) -> int:
-    """Worker processes to use: never more than the CPUs or the chunks."""
-    return min(workers, cpus, chunks)
-
-
 class _WorkerPool:
     """The one executor that the pooled sums of a block share.
 
@@ -420,22 +415,23 @@ def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
     """``_sum_from`` split across worker processes.
 
     The first few roots are walked here; the states of the nonzero classes
-    are dealt round-robin in key order, one chunk per worker, and each worker
-    reopens its chunk's classes, scales included, and walks them to the end;
-    a single chunk is walked here, without a pool.  The chunks go to the
-    executor of the open ``worker_pool`` block, with min(workers, CPUs)
-    processes; outside any block the sum opens a block of its own.  Every
-    part is an exact integer, so the result is the same for any worker count.
+    are dealt round-robin in key order into min(workers, states) chunks, and
+    each chunk's classes are reopened, scales included, and walked to the
+    end.  The split follows ``workers`` alone; the chunks go to the executor
+    of the open ``worker_pool`` block, with min(workers, CPUs) processes
+    (outside any block the sum opens a block of its own).  With one chunk
+    or one CPU the walk stays here, without a pool.  Every part is an exact
+    integer, so the result is the same for any worker count.
     """
-    cpus = os.cpu_count() or 1
-    depth = min(len(plan.steps), min(workers, cpus).bit_length() + 2)
+    depth = min(len(plan.steps), workers.bit_length() + 2)
     items = _prefix(plan, depth)
-    size = _pool_size(workers, cpus, len(items))
-    if size <= 1:
+    size = min(workers, len(items))
+    processes = min(workers, os.cpu_count() or 1)
+    if size <= 1 or processes <= 1:
         return _sum_from(plan, dict(items), depth)
     chunks = [dict(items[w::size]) for w in range(size)]
     with worker_pool() as pool:
-        parts = list(pool.get(min(workers, cpus)).map(
+        parts = list(pool.get(processes).map(
             _sum_from, [plan] * size, chunks, [depth] * size))
     return sum(t for t, _ in parts), sum(nz for _, nz in parts)
 
@@ -446,8 +442,8 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     """Sum over subsets S of the pool of (-1)^#S times the product of the
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
-    Sums of at least 2^12 subsets are split across worker processes when
-    ``workers`` > 1.
+    Sums of at least 2^12 subsets are split ``workers`` ways, across no
+    more processes than CPUs, when ``workers`` > 1.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
@@ -474,9 +470,10 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     else:
         raise ValueError(f"unknown variant {variant!r}")
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
-    packed = _pack_roots(rs.compact_positive)
+    pk = make_dim_poly(rs.compact_positive, rs.case.rank)
+    packed = _pack_roots(pk.roots)
     pk_denominator = Fraction(scale) ** len(packed) * math.prod(
-        rs.pk_denominators, start=Fraction(1))
+        pk.denominators, start=Fraction(1))
     return tuple(base), tuple(deltas), packed, pk_denominator
 
 
@@ -486,7 +483,9 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     """Left-hand side of the defining equation at ``lam``.
 
     Returns (LHS value, number of nonzero terms, total term count).
-    Sums of at least 2^12 subsets use ``workers`` processes when it is above 1.
+    Sums of at least 2^12 subsets are split ``workers`` ways when it is
+    above 1.  v2 raises ``OrthogonalityError``, before the term-cap check,
+    unless rho_n(l) is orthogonal to the compact Levi roots.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise TypeError(f"workers must be an int, got {workers!r}")

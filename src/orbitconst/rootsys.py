@@ -123,16 +123,13 @@ class GroupCase:
 class RootSystem:
     """Fixed positive system of a case, split into compact and noncompact parts.
 
-    ``pk_denominators`` holds ``<rho_c, alpha>`` per compact positive root;
-    these are the denominators of the Weyl dimension polynomial for K.
+    P_K is ``weylpoly.make_dim_poly(compact_positive, rank)``.
     """
 
     case: GroupCase
     positive: tuple[Root, ...]
     compact_positive: tuple[Root, ...]
     noncompact_positive: tuple[Root, ...]
-    rho_c: Weight
-    pk_denominators: tuple[Fraction, ...]
 
     def all_roots(self) -> tuple[Root, ...]:
         return self.positive + tuple(negate(r) for r in self.positive)
@@ -227,8 +224,4 @@ def build_root_system(case: GroupCase) -> RootSystem:
     positive = builders[case.lie_type](m)
     compact = tuple(r for r in positive if _is_compact(case, r))
     noncompact = tuple(r for r in positive if not _is_compact(case, r))
-    rho_c = half_sum(compact, m)
-    denoms = tuple(pair(rho_c, a) for a in compact)
-    if not all(d > 0 for d in denoms):
-        raise ValueError(f"compact positive system of {case} is not rho-regular")
-    return RootSystem(case, tuple(positive), compact, noncompact, rho_c, denoms)
+    return RootSystem(case, tuple(positive), compact, noncompact)

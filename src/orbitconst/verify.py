@@ -17,13 +17,12 @@ import json
 from fractions import Fraction
 
 from . import constants, oracles
-from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, auto_sign_relation,
+from .constants import (DEFAULT_TERM_CAP, OrthogonalityError,
+                        TermCapExceeded, auto_sign_relation,
                         constant_closed_form, default_lambda,
-                        lambda_candidates, levi_data, rho_n_orthogonal,
-                        sign_flip_sigma)
+                        lambda_candidates, sign_flip_sigma)
 from .orbits import real_forms
-from .rootsys import (GroupCase, build_root_system, type_b_positive_roots,
-                      type_d_positive_roots)
+from .rootsys import GroupCase, type_b_positive_roots, type_d_positive_roots
 from .weylpoly import eval_dim_poly, make_dim_poly
 
 # (case, form, lam, variant, term_cap, workers) -> Evaluation
@@ -77,7 +76,7 @@ def table_reproduction_rows(max_rank=None, term_cap=DEFAULT_TERM_CAP,
     return rows
 
 
-def criterion_1(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
+def criterion_1(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
     rows = table_reproduction_rows(max_rank, term_cap, workers)
     checked = [r for r in rows if "agree" in r]
     bad = [r for r in checked if not r["agree"]]
@@ -114,7 +113,7 @@ def _details(failures, skipped) -> dict:
     return {"failures": failures, **({"skipped": skipped} if skipped else {})}
 
 
-def criterion_3(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
+def criterion_3(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 seed=0) -> dict:
     """Three distinct evaluation points give one and the same integer."""
     bad, skipped = [], []
@@ -133,22 +132,23 @@ def criterion_3(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
             "passed": not bad, "details": _details(bad, skipped)}
 
 
-def criterion_4(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
-    """Original and rewritten sums agree; orthogonality holds throughout."""
+def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
+    """Original and rewritten sums agree; orthogonality holds throughout.
+
+    v2 goes first: its ``OrthogonalityError`` precedes the term-cap check.
+    """
     bad, skipped = [], []
     for case in acceptance_cases(max_rank):
-        rs = build_root_system(case)
         for form in real_forms(case):
-            levi = levi_data(rs, form.h)
-            if not rho_n_orthogonal(levi):
-                bad.append((str(case), form.index, "orthogonality"))
-                continue
             lam = default_lambda(case, form)
             try:
-                orig = cached_constant(case, form, lam, "orig", term_cap,
-                                       workers).constant
                 v2 = cached_constant(case, form, lam, "v2", term_cap,
                                      workers).constant
+                orig = cached_constant(case, form, lam, "orig", term_cap,
+                                       workers).constant
+            except OrthogonalityError:
+                bad.append((str(case), form.index, "orthogonality"))
+                continue
             except TermCapExceeded:
                 skipped.append(f"{case} form {form.index}")
                 continue
@@ -158,8 +158,8 @@ def criterion_4(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
             "passed": not bad, "details": _details(bad, skipped)}
 
 
-def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
-                max_rank=None) -> dict:
+def criterion_5(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
+                seed=0) -> dict:
     """The raw alternating sum vanishes identically for the third so-odd form."""
     bad, skipped = [], []
     for case in acceptance_cases(max_rank):
@@ -179,7 +179,7 @@ def criterion_5(term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
             "passed": not bad, "details": _details(bad, skipped)}
 
 
-def criterion_6(max_rank=None) -> dict:
+def criterion_6(*, max_rank=None) -> dict:
     """Automorphism sign relations between paired forms.
 
     Forms I and II of every so-odd case are related by flipping coordinate
@@ -209,7 +209,7 @@ def criterion_6(max_rank=None) -> dict:
             "passed": not bad, "details": {"failures": bad}}
 
 
-def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
+def criterion_7(*, max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """Survivor enumeration matches the combinatorial term characterizations.
 
     Every sp, so-star and su form is checked, and the first form of every
@@ -248,7 +248,7 @@ def criterion_7(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
             "passed": not bad, "details": _details(bad, skipped)}
 
 
-def criterion_8(max_rank=None) -> dict:
+def criterion_8(*, max_rank=None) -> dict:
     """Real-form counts per family.
 
     so-even actually has 2 forms when p = 1 (and 3 or 4 only for p >= 2);
@@ -274,7 +274,7 @@ def criterion_8(max_rank=None) -> dict:
             "passed": not bad, "details": {"failures": bad}}
 
 
-def criterion_9(max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
+def criterion_9(*, max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """Byte-identical reports for 1, 4 and 8 workers."""
     blobs = []
     with constants.worker_pool():
@@ -294,19 +294,21 @@ def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
 
     The criteria's pooled sums share one executor.
     """
+    scope = {"max_rank": max_rank, "term_cap": term_cap}
+    summed = {**scope, "workers": workers}
     with constants.worker_pool():
         criteria = [
-            criterion_1(max_rank, term_cap, workers),
+            criterion_1(**summed),
             criterion_2(),
-            criterion_3(max_rank, term_cap, workers, seed),
-            criterion_4(max_rank, term_cap, workers),
-            criterion_5(term_cap, workers, seed, max_rank),
-            criterion_6(max_rank),
-            criterion_7(max_rank, term_cap),
-            criterion_8(max_rank),
+            criterion_3(**summed, seed=seed),
+            criterion_4(**summed),
+            criterion_5(**summed, seed=seed),
+            criterion_6(max_rank=max_rank),
+            criterion_7(**scope),
+            criterion_8(max_rank=max_rank),
         ]
         if not skip_determinism:
-            criteria.append(criterion_9(max_rank, term_cap))
+            criteria.append(criterion_9(**scope))
     report = {
         "config": {"maxRank": max_rank, "termCap": term_cap, "seed": seed,
                    "workers": workers},

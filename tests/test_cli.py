@@ -199,12 +199,15 @@ def test_constant_method_brute(capsys):
                  ["constant", *sp2, "--seed", "1"],
                  ["table", *sp2, "--term-cap", "5"],
                  ["table", *sp2, "--workers", "2"],
-                 ["table", *sp2, "--seed", "1"]):
+                 ["table", *sp2, "--seed", "1"],
+                 ["verify", "--max-rank", "1", "--format", "csv"],
+                 ["verify", "--max-rank", "1", "--format", "latex"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert ("invalid choice: 'brute'" in err if "brute" in argv
+        assert (f"invalid choice: '{argv[-1]}'" in err
+                if argv[-2] in ("--method", "--format")
                 else "unrecognized arguments" in err)
     code, out, _ = run(capsys, "constant", "--group", "sp", "--n", "3",
                        "--format", "json")

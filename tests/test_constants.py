@@ -16,9 +16,9 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         make_dim_poly, real_forms, rho_n_orthogonal,
                         sign_flip_sigma)
 from orbitconst import constants
-from orbitconst.constants import (_blocks, _pack_roots, _plan, _pool_size,
-                                  _prefix, _prepare_enumeration, _subset_sum,
-                                  _sum_from, worker_pool)
+from orbitconst.constants import (_blocks, _pack_roots, _plan, _prefix,
+                                  _prepare_enumeration, _subset_sum, _sum_from,
+                                  worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -422,13 +422,19 @@ def test_plan_tests_each_factor_once_where_it_finishes():
                            if plan.finish[pos])
 
 
-def test_pooled_kernel_matches_naive_reference():
-    case = GroupCase.so_odd(3, 3)            # SO_e(6,7): form 1 has 2^12 subsets
+def _sum_of_4096():
+    """The packed sum of SO_e(6,7) form 1 at lambda_0, over 2^12 subsets."""
+    case = GroupCase.so_odd(3, 3)
     rs = build_root_system(case)
     form = get_form(case, 1)
     base, deltas, packed, _ = _prepare_enumeration(
         rs, levi_data(rs, form.h), default_lambda(case, form), "orig")
     assert len(deltas) == 12
+    return base, deltas, packed
+
+
+def test_pooled_kernel_matches_naive_reference():
+    base, deltas, packed = _sum_of_4096()
     assert _subset_sum(base, deltas, packed, workers=2) == \
         _naive_sum(base, deltas, packed)
 
@@ -467,11 +473,36 @@ def test_blocks_share_no_coordinate():
             assert all(digits & other == 0 for other, _ in blocks[n + 1:])
 
 
-def test_pool_size_is_clamped_to_cpus_and_chunks():
-    assert _pool_size(8, cpus=2, chunks=5) == 2
-    assert _pool_size(4, cpus=8, chunks=3) == 3
-    assert _pool_size(2, cpus=2, chunks=16) == 2
-    assert _pool_size(3, cpus=1, chunks=7) == 1
+def test_one_cpu_sums_without_a_pool(monkeypatch):
+    base, deltas, packed = _sum_of_4096()
+    expected = _subset_sum(base, deltas, packed)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", no_pool)
+    assert _subset_sum(base, deltas, packed, workers=2) == expected
+
+
+def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
+    base, deltas, packed = _sum_of_4096()
+    expected = _subset_sum(base, deltas, packed)
+    started, mapped = [], []
+
+    class Recording(constants.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, plans, chunks, depths):
+            mapped.append(len(chunks))
+            return super().map(fn, plans, chunks, depths)
+
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
+    assert _subset_sum(base, deltas, packed, workers=8) == expected
+    assert started == [2] and mapped == [8]
 
 
 def test_worker_split_is_exact():

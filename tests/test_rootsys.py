@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbitconst import (GroupCase, build_root_system, half_sum, negate, pair,
-                        type_a_positive_roots, type_b_positive_roots,
-                        type_c_positive_roots, type_d_positive_roots)
+from orbitconst import (GroupCase, build_root_system, half_sum,
+                        make_dim_poly, negate, pair, type_a_positive_roots,
+                        type_b_positive_roots, type_c_positive_roots,
+                        type_d_positive_roots)
 
 
 def test_case_validation():
@@ -85,16 +86,18 @@ def test_compact_system_is_rho_regular():
     cases += [GroupCase.so_star(n) for n in range(1, 11)]
     for case in cases:
         rs = build_root_system(case)
-        assert all(d > 0 for d in rs.pk_denominators)
-        assert len(rs.pk_denominators) == len(rs.compact_positive)
+        pk = make_dim_poly(rs.compact_positive, case.rank)
+        assert all(d > 0 for d in pk.denominators)
+        assert len(pk.denominators) == len(rs.compact_positive)
 
 
 def test_pair_examples():
     assert pair((1, 1, 0, -1, -1), (0, 1, -1, 0, 0)) == 1
     assert pair((2, 1, 1, 0), (1, 1, 0, 0)) == 3
     rs = build_root_system(GroupCase.sp(2))
-    assert rs.rho_c == (Fraction(1, 2), Fraction(-1, 2))
-    assert pair(rs.rho_c, (1, -1)) == 1
+    rho_c = make_dim_poly(rs.compact_positive, 2).rho_prime
+    assert rho_c == (Fraction(1, 2), Fraction(-1, 2))
+    assert pair(rho_c, (1, -1)) == 1
     with pytest.raises(ValueError):
         pair((1, 2), (1, 2, 3))
 

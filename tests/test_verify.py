@@ -4,6 +4,8 @@ criterion 7 enumerates, and the one executor a run shares."""
 import functools
 import multiprocessing
 
+import pytest
+
 from orbitconst import constants, oracles, verify
 from orbitconst.constants import levi_data
 from orbitconst.orbits import real_forms
@@ -46,6 +48,32 @@ def test_skipped_is_absent_when_nothing_is_skipped():
     for criterion in (verify.criterion_3, verify.criterion_4,
                       verify.criterion_5, verify.criterion_7):
         assert "skipped" not in criterion(max_rank=3)["details"]
+
+
+def test_criterion_4_reports_orthogonality_over_the_term_cap():
+    # the orthogonality verdict comes from the v2 sum, which raises before
+    # the cap is checked; evaluated after orig, the witnesses over the cap
+    # would be listed as skipped instead
+    witnesses = ("SO_e(6,5)", "SO_e(6,7)", "SO_e(6,9)", "SO_e(6,6)",
+                 "SO_e(6,8)")
+    result = verify.criterion_4(term_cap=CAP)
+    assert result["details"]["failures"] == [
+        (case, 2, "orthogonality") for case in witnesses]
+    skipped = result["details"]["skipped"]
+    assert len(skipped) == 39
+    assert skipped == [f for f in _over_cap(None)
+                       if f not in {f"{case} form 2" for case in witnesses}]
+
+
+@pytest.mark.parametrize("criterion", [
+    verify.criterion_1, verify.criterion_3, verify.criterion_4,
+    verify.criterion_5, verify.criterion_6, verify.criterion_7,
+    verify.criterion_8, verify.criterion_9])
+def test_criteria_take_their_parameters_by_keyword(criterion):
+    # criterion_5 once took term_cap first, so criterion_5(4) skipped every
+    # form and passed
+    with pytest.raises(TypeError):
+        criterion(4)
 
 
 def test_criterion_5_lists_the_forms_it_skips():
