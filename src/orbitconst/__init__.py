@@ -3,12 +3,12 @@ multiplicities, for real forms of classical nilpotent orbits."""
 
 from .constants import (Evaluation, LambdaDegenerateError, LeviData,
                         NonIntegerQuotientError, OrthogonalityError,
-                        SignedPermutation, TermCapExceeded, alternating_sum,
-                        auto_sign_relation, brute_force_sum, closed_form_expr,
+                        TermCapExceeded, alternating_sum, auto_sign_relation,
+                        brute_force_sum, closed_form_expr,
                         constant_brute_force_orig, constant_brute_force_v2,
                         constant_closed_form, default_lambda,
                         lambda_candidates, levi_data, levi_k_poly,
-                        rho_n_orthogonal, sign_flip_sigma)
+                        rho_n_orthogonal)
 from .oracles import (SurvivingTerm, check_oracle_against_brute_force,
                       oracle_total_matches, shuffle_terms_so_star,
                       shuffle_terms_sp, shuffles, su_predicted_c,
@@ -18,7 +18,7 @@ from .orbits import (RealForm, SignedTableau, dominant_h, get_form,
                      orbit_partition, real_forms, validate_partition,
                      weighted_dynkin)
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
-                      half_sum, negate, pair, type_a_positive_roots,
+                      flip, half_sum, negate, pair, type_a_positive_roots,
                       type_b_positive_roots, type_c_positive_roots,
                       type_d_positive_roots)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly

@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .orbits import RealForm, get_form
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
-                      half_sum, pair)
+                      flip, half_sum, pair)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly
 
 DEFAULT_TERM_CAP = 1 << 24
@@ -559,12 +559,6 @@ def brute_force_sum(case: GroupCase, form: RealForm | int,
 # evaluation points
 
 
-def _flip(vec: Sequence[Fraction], idx: int) -> Weight:
-    out = list(vec)
-    out[idx] = -out[idx]
-    return tuple(out)
-
-
 def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
     """The fixed evaluation point lambda_0 of the family and form.
 
@@ -590,9 +584,9 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
                           + [n - 1 - i for i in range(n - 1 - k)])
     # so-odd and so-even
     if k == 2:
-        return _flip(default_lambda(case, 1), p - 1)
+        return flip(default_lambda(case, 1), p - 1)
     if k == 4:
-        return _flip(default_lambda(case, 3), case.rank - 1)
+        return flip(default_lambda(case, 3), case.rank - 1)
     if case.family == "so-odd" and k == 1:
         return _as_weight([H] + [q + H - i for i in range(p - 1)]
                           + [-1 - i for i in range(p - 1)]
@@ -617,6 +611,10 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
     Shifts are nonnegative integer combinations of the partial-sum weights
     (1,..,1,0,..,0); candidates with P_{L&K}(lambda) = 0 are rejected.
     """
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"count must be an int, got {count!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rs = build_root_system(case)
     form = get_form(case, form)
     levi = levi_data(rs, form.h)
@@ -707,55 +705,34 @@ def closed_form_expr(case: GroupCase, form: RealForm | int,
 # automorphism sign relation
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Signed coordinate permutation: e_j maps to signs[j] * e_perm[j].
-
-    The same formula gives the action on epsilon-coordinate roots and
-    weights (signed permutations are orthogonal).
-    """
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def apply(self, vec: Sequence) -> tuple:
-        out = [0] * len(self.perm)
-        for j, x in enumerate(vec):
-            out[self.perm[j]] = self.signs[j] * x
-        return tuple(out)
-
-
-def sign_flip_sigma(rank: int, coord: int) -> SignedPermutation:
-    """The automorphism flipping the sign of one coordinate (0-based)."""
-    signs = [1] * rank
-    signs[coord] = -1
-    return SignedPermutation(tuple(range(rank)), tuple(signs))
-
-
-def auto_sign_relation(case: GroupCase, sigma: SignedPermutation,
+def auto_sign_relation(case: GroupCase, coord: int,
                        form1: RealForm | int, form2: RealForm | int) -> int:
-    """Sign s with c(form2) = s * c(form1) for an automorphism sigma.
+    """Sign s with c(form2) = s * c(form1) under ``flip`` at ``coord`` (0-based).
 
-    sigma must permute the roots, respect the compact/noncompact split,
+    The flip must permute the roots, respect the compact/noncompact split,
     preserve the compact positive system, and carry h1 to h2.
     """
+    if isinstance(coord, bool) or not isinstance(coord, int):
+        raise TypeError(f"coordinate {coord!r} of rank {case.rank} is not an int")
+    if not 0 <= coord < case.rank:
+        raise ValueError(f"coordinate {coord} is outside 0..{case.rank - 1} "
+                         f"(rank {case.rank})")
     rs = build_root_system(case)
     form1 = get_form(case, form1)
     form2 = get_form(case, form2)
-    roots = set(rs.all_roots())
     compact = rs.compact_set()
-    images = {r: sigma.apply(r) for r in roots}
-    if any(img not in roots for img in images.values()):
-        raise ValueError("sigma does not preserve the root system")
+    images = {r: flip(r, coord) for r in rs.all_roots()}
+    what = f"flipping coordinate {coord} does not"
+    if any(img not in images for img in images.values()):
+        raise ValueError(f"{what} preserve the root system")
     if any((r in compact) != (img in compact) for r, img in images.items()):
-        raise ValueError("sigma does not commute with the Cartan involution")
-    if set(map(sigma.apply, rs.compact_positive)) != set(rs.compact_positive):
-        raise ValueError("sigma does not preserve the compact positive system")
-    if sigma.apply(form1.h) != form2.h:
-        raise ValueError("sigma does not map h1 to h2")
+        raise ValueError(f"{what} commute with the Cartan involution")
+    if {images[r] for r in rs.compact_positive} != set(rs.compact_positive):
+        raise ValueError(f"{what} preserve the compact positive system")
+    if flip(form1.h, coord) != form2.h:
+        raise ValueError(f"{what} map h1 to h2")
     levi1 = levi_data(rs, form1.h)
     levi2 = levi_data(rs, form2.h)
     positive = set(rs.positive)
-    flipped = sum(1 for a in levi1.delta_n_plus_l
-                  if sigma.apply(a) not in positive)
+    flipped = sum(images[a] not in positive for a in levi1.delta_n_plus_l)
     return (-1) ** (flipped + levi1.big_n + levi2.big_n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rootsys import GroupCase, Root, _e, _e2
+from .rootsys import GroupCase, Root, _e, _e2, flip
 
 
 @dataclass(frozen=True)
@@ -228,9 +228,7 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
     elif case.family == "so-odd":
         h1 = [2] + [1] * (p - 1) + [1] * (p - 1) + [0] * (q - p + 1)
         add("I", 1, h1, "always", _tableau_bd("so-odd", p, q, 1))
-        h2 = list(h1)
-        h2[p - 1] = -h2[p - 1]  # sign flip of coordinate p (outer for the D_p factor)
-        add("II", 2, h2, "always", _tableau_bd("so-odd", p, q, 2))
+        add("II", 2, flip(h1, p - 1), "always", _tableau_bd("so-odd", p, q, 2))
         if q >= p:
             h3 = [1] * (p - 1) + [0] + [2] + [1] * (p - 1) + [0] * (q - p)
             add("III", 3, h3, "q >= p", _tableau_bd("so-odd", p, q, 3))
@@ -238,15 +236,13 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
         h1 = [2] + [1] * (p - 1) + [1] * (p - 1) + [0] * (q - p + 1)
         add("I", 1, h1, "always", _tableau_bd("so-even", p, q, 1))
         if p >= 2:
-            h2 = list(h1)
-            h2[p - 1] = -h2[p - 1]
-            add("II", 2, h2, "p >= 2", _tableau_bd("so-even", p, q, 2))
+            add("II", 2, flip(h1, p - 1), "p >= 2",
+                _tableau_bd("so-even", p, q, 2))
         h3 = [1] * (p - 1) + [0] + [2] + [1] * (p - 1) + [0] * (q - p)
         add("III", 3, h3, "always", _tableau_bd("so-even", p, q, 3))
         if q == p and p >= 2:
-            h4 = list(h3)
-            h4[-1] = -h4[-1]
-            add("IV", 4, h4, "q == p >= 2", _tableau_bd("so-even", p, q, 4))
+            add("IV", 4, flip(h3, case.rank - 1), "q == p >= 2",
+                _tableau_bd("so-even", p, q, 4))
     return tuple(forms)
 
 

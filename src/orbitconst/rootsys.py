@@ -157,6 +157,14 @@ def negate(r: Root) -> Root:
     return tuple(-c for c in r)
 
 
+def flip(vec: Sequence, i: int) -> tuple:
+    """``vec`` with coordinate ``i`` negated: on so-odd and so-even, the outer
+    automorphism carrying form I to II (i = p-1) and III to IV (i = rank-1)."""
+    out = list(vec)
+    out[i] = -out[i]
+    return tuple(out)
+
+
 def type_a_positive_roots(m: int) -> list[Root]:
     """e_i - e_j for i < j, in lexicographic order."""
     return sorted(_e2(m, i, 1, j, -1) for i in range(m) for j in range(i + 1, m))

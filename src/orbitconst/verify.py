@@ -20,7 +20,7 @@ from . import constants, oracles
 from .constants import (DEFAULT_TERM_CAP, OrthogonalityError,
                         TermCapExceeded, auto_sign_relation,
                         constant_closed_form, default_lambda,
-                        lambda_candidates, sign_flip_sigma)
+                        lambda_candidates)
 from .orbits import real_forms
 from .rootsys import GroupCase, type_b_positive_roots, type_d_positive_roots
 from .weylpoly import eval_dim_poly, make_dim_poly
@@ -190,8 +190,7 @@ def criterion_6(*, max_rank=None) -> dict:
     bad = []
 
     def check(case, f1, f2, coord, expected):
-        sigma = sign_flip_sigma(case.rank, coord)
-        sign = auto_sign_relation(case, sigma, f1, f2)
+        sign = auto_sign_relation(case, coord, f1, f2)
         c1 = constant_closed_form(case, f1)
         c2 = constant_closed_form(case, f2)
         if sign != expected or sign * c1 != c2:

@@ -9,7 +9,7 @@ orthogonal families once p reaches 3 (first failing case rank 5).  Its test
 pins that exact verdict, form by form, together with the obstruction behind
 it, and checks that the original and rewritten sums agree on all 123 forms:
 directly on the 118 orthogonal ones, and on the five witnesses over the
-sigma-transported positive system of Delta(l & p).
+flip-transported positive system of Delta(l & p).
 """
 
 import json
@@ -18,10 +18,10 @@ from dataclasses import replace
 from orbitconst import verify
 from orbitconst.constants import (DEFAULT_TERM_CAP, alternating_sum,
                                   constant_closed_form, default_lambda,
-                                  levi_data, levi_k_poly, rho_n_orthogonal,
-                                  sign_flip_sigma)
+                                  levi_data, levi_k_poly, rho_n_orthogonal)
 from orbitconst.orbits import real_forms
-from orbitconst.rootsys import build_root_system, half_sum, negate, pair
+from orbitconst.rootsys import (build_root_system, flip, half_sum, negate,
+                                pair)
 from orbitconst.weylpoly import eval_dim_poly
 
 
@@ -106,11 +106,11 @@ def test_criterion_4_formula_equivalence_and_orthogonality():
         assert e23 in levi2.delta_lk_plus, tag
         assert pair(levi2.rho_n_l, e23) == 2, tag
 
-        # sigma carries form I to form II; the image of form I's pool picks
-        # other signs for exactly two of form II's pool roots
-        sigma = sign_flip_sigma(case.rank, case.p - 1)
-        assert sigma.apply(form1.h) == form2.h, tag
-        pool = tuple(sigma.apply(a) for a in levi1.delta_n_plus_l)
+        # flipping coordinate p-1 carries form I to form II; the image of
+        # form I's pool picks other signs for exactly two of form II's pool
+        # roots
+        assert flip(form1.h, case.p - 1) == form2.h, tag
+        pool = tuple(flip(a, case.p - 1) for a in levi1.delta_n_plus_l)
         assert len(pool) == len(levi2.delta_n_plus_l), tag
         assert all(a in levi2.delta_n_plus_l or negate(a) in levi2.delta_n_plus_l
                    for a in pool), tag

@@ -12,9 +12,9 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         brute_force_sum, build_root_system, closed_form_expr,
                         constant_brute_force_orig, constant_brute_force_v2,
                         constant_closed_form, default_lambda, eval_dim_poly,
-                        get_form, lambda_candidates, levi_data, levi_k_poly,
-                        make_dim_poly, real_forms, rho_n_orthogonal,
-                        sign_flip_sigma)
+                        flip, get_form, lambda_candidates, levi_data,
+                        levi_k_poly, make_dim_poly, real_forms,
+                        rho_n_orthogonal)
 from orbitconst import constants
 from orbitconst.constants import (_blocks, _pack_roots, _plan, _prefix,
                                   _prepare_enumeration, _subset_sum, _sum_from,
@@ -106,7 +106,7 @@ def test_big_n_parities():
 def test_rho_n_orthogonality_status():
     # holds on every form the closed-form computations evaluate directly,
     # and fails for the II-variant once p >= 3 with rho_n(l) taken from the
-    # fixed positive system (the sigma-transported one is orthogonal)
+    # fixed positive system (the flip-transported one is orthogonal)
     for case in (GroupCase.so_odd(2, 3), GroupCase.so_even(2, 2),
                  GroupCase.sp(4), GroupCase.su(2, 3), GroupCase.so_star(5)):
         for form in real_forms(case):
@@ -251,7 +251,7 @@ def test_closed_form_matches_brute_at_p4():
     case = GroupCase.so_odd(4, 3)
     assert constant_closed_form(case, 1) == 64
     assert constant_closed_form(case, 2) == -64
-    assert auto_sign_relation(case, sign_flip_sigma(7, 3), 1, 2) == -1
+    assert auto_sign_relation(case, 3, 1, 2) == -1
     case = GroupCase.sp(8)
     assert constant_brute_force_orig(case, 5) == \
         constant_closed_form(case, 5) == 6
@@ -523,6 +523,9 @@ def test_workers_are_validated_where_they_enter(workers, error):
     levi = levi_data(rs, get_form(case, 1).h)
     with pytest.raises(error, match=re.escape(repr(workers))):
         alternating_sum(rs, levi, default_lambda(case, 1), workers=workers)
+    # lambda_candidates' count takes the same values and the same checks
+    with pytest.raises(error, match="count .*" + re.escape(repr(workers))):
+        lambda_candidates(case, 1, count=workers)
 
 
 def _is_shut_down(executor) -> bool:
@@ -556,20 +559,46 @@ def test_worker_pool_shuts_down_on_an_exception():
 
 def test_auto_sign_relation_examples():
     case = GroupCase.so_odd(2, 2)
-    assert auto_sign_relation(case, sign_flip_sigma(4, 1), 1, 2) == -1
+    assert auto_sign_relation(case, 1, 1, 2) == -1
     case = GroupCase.so_even(2, 3)
-    assert auto_sign_relation(case, sign_flip_sigma(5, 1), 1, 2) == 1
+    assert auto_sign_relation(case, 1, 1, 2) == 1
     case = GroupCase.so_even(2, 2)
     forms = real_forms(case)
-    assert auto_sign_relation(case, sign_flip_sigma(4, 3), forms[2], forms[3]) == 1
+    assert auto_sign_relation(case, 3, forms[2], forms[3]) == 1
 
 
 def test_auto_sign_relation_checks_hypotheses():
-    case = GroupCase.so_odd(2, 2)
-    with pytest.raises(ValueError):
-        # flipping a block-2 coordinate does not map h1 to h2
-        auto_sign_relation(case, sign_flip_sigma(4, 2), 1, 2)
-    case = GroupCase.sp(2)
-    with pytest.raises(ValueError):
-        # sign flips do not even preserve the su-type compact system of sp
-        auto_sign_relation(case, sign_flip_sigma(2, 0), 1, 2)
+    # one witness per hypothesis, each the first check that fails
+    for case, coord, reason in (
+            (GroupCase.su(2, 2), 0, "preserve the root system"),
+            (GroupCase.sp(2), 0, "commute with the Cartan involution"),
+            (GroupCase.so_odd(2, 2), 2, "preserve the compact positive system"),
+            (GroupCase.so_even(2, 2), 3, "map h1 to h2")):
+        with pytest.raises(ValueError, match=f"coordinate {coord} does not "
+                                             f"{reason}$"):
+            auto_sign_relation(case, coord, 1, 2)
+
+
+@pytest.mark.parametrize("coord, error", [
+    (-3, ValueError), (-1, ValueError), (4, ValueError), (True, TypeError),
+    (1.0, TypeError), ("1", TypeError)])
+def test_auto_sign_relation_validates_the_coordinate(coord, error):
+    # SO_e(4,5) has rank 4; -3 would otherwise index coordinate 1
+    with pytest.raises(error, match=re.escape(repr(coord)) + ".*rank 4"):
+        auto_sign_relation(GroupCase.so_odd(2, 2), coord, 1, 2)
+
+
+def test_paired_forms_are_flips_of_their_partners():
+    for case in acceptance_cases():
+        if case.family not in ("so-odd", "so-even"):
+            continue
+        forms = {f.kind: f for f in real_forms(case)}
+        for src, dst, coord in ((1, 2, case.p - 1), (3, 4, case.rank - 1)):
+            if dst not in forms:
+                continue
+            tag = (str(case), dst)
+            assert forms[dst].h == flip(forms[src].h, coord), tag
+            assert flip(forms[dst].h, coord) == forms[src].h, tag
+            lam = default_lambda(case, forms[dst])
+            assert lam == flip(default_lambda(case, forms[src]), coord), tag
+            assert flip(lam, coord) == default_lambda(case, forms[src]), tag

@@ -1,5 +1,6 @@
 """The package stays pure standard library: every module it imports is its
-own or ships with Python, and every name a module imports is used there."""
+own or ships with Python, every name a module imports is used there, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -35,6 +36,27 @@ def _unused_imports(tree):
     return bound - read
 
 
+def _private_definitions(tree):
+    """Module-level names with one leading underscore a source file binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from (n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Store))
+
+
+def _reads(tree):
+    """Names a source file reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def test_package_imports_only_the_standard_library():
     assert len(SOURCES) >= 8
     foreign = {(path.name, name) for path in SOURCES
@@ -49,3 +71,13 @@ def test_every_imported_name_is_used():
               if path.name != "__init__.py"
               for name in _unused_imports(_tree(path))}
     assert unused == set()
+
+
+def test_every_private_module_name_is_read():
+    trees = {path.name: _tree(path) for path in SOURCES}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    dead = {(module, name) for module, tree in trees.items()
+            for name in _private_definitions(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read}
+    assert dead == set()
