@@ -27,12 +27,14 @@ coordinates are final before the last root is evaluated once per class, at
 the split where they become final, into the class's scale, and a class whose
 scale is 0 is dropped; the rest are grouped into blocks that share no
 coordinate (K = K_1 x K_2 gives two), and a state's product is the product of
-its block values, each memoized on the block's digits.  The walk can be
-shared among worker processes, and the result is bit-identical for any
-worker count because every partial sum is an exact integer.  The pooled sums
-inside a ``worker_pool()`` block share one executor, which the first of them
-starts and the outermost block shuts down; a sum outside any block opens one
-for itself.
+its block values, each memoized on the block's digits.  The walk is one
+loop over a stack of classes.  It can be shared among worker processes: the
+first few roots are walked here and the classes reached there are dealt
+whole, scales included, to the workers, so each state is walked once.  The
+result is bit-identical for any worker count because every partial sum is
+an exact integer.  The pooled sums inside a ``worker_pool()`` block share
+one executor, which the first of them starts and the outermost block shuts
+down; a sum outside any block opens one for itself.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ class _Plan(NamedTuple):
     ``pos`` roots, ``cut[pos]`` masks the digits no later root changes, and
     where ``splits[pos]`` the states are split into classes by those digits.
     ``finish[pos]`` holds the factors whose coordinates are all final after
-    ``pos`` roots (and not after fewer), for pos < m; ``blocks`` groups the
-    factors that only the last root finishes, with ``_blocks``, into blocks
-    that share no coordinate.
+    ``pos`` roots (and not after fewer), for pos < m, and ``finish[m]`` is
+    empty; ``blocks`` groups the factors that only the last root finishes,
+    with ``_blocks``, into blocks that share no coordinate.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -223,7 +225,7 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     done = [1 + max((pos for pos, t in enumerate(order) if deltas[t][i]),
                     default=-1) for i in range(rank)]
     splits = tuple(0 < pos < m and pos in done for pos in range(m + 1))
-    finish: list[list] = [[] for _ in range(m)]
+    finish: list[list] = [[] for _ in range(m + 1)]
     live = []
     for (i, ci, j, cj) in packed:
         if j < 0:
@@ -259,104 +261,91 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(blocks)
 
 
-def _advance(states: dict, step: int) -> dict:
-    """Add one root to every subset.
+def _open(plan: _Plan, states: dict, pos: int, tests: tuple,
+          scale: int) -> list[tuple[dict, int, int]]:
+    """Split ``states`` into classes by the digits finished after ``pos`` roots.
 
     ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
-    """
-    out = dict(states)
-    get = out.get
-    for key, (signed, count) in states.items():
-        new = key + step
-        old = get(new)
-        out[new] = ((-signed, count) if old is None
-                    else (old[0] - signed, old[1] + count))
-    return out
-
-
-def _classes(states: dict, plan: _Plan, pos: int, stop: int, tests: tuple,
-             scale: int = 1):
-    """Split ``states`` by the digits finished after ``pos`` roots and walk
-    each class on to root ``stop``, splitting again where digits finish.
-
-    A class's scale is ``scale`` times the factors ``tests`` on its digits,
-    then times ``finish[at]`` at each later split ``at``; a class whose
-    scale is 0 is dropped.  Yields (scale, class): the states of a class
-    share every digit finished at its last split, and states of different
-    classes never merge again.
+    A class's scale is ``scale`` times the factors ``tests`` on its digits;
+    classes whose scale is 0 are dropped.  Returns (states, pos, scale)
+    classes: states of different classes never merge again.
     """
     cut, mask = plan.cut[pos], plan.mask
     classes: dict[int, dict] = {}
     for key, value in states.items():
         classes.setdefault(key & cut, {})[key] = value
-    for k, states in classes.items():
-        class_scale = scale * _factors(tests, k, mask)
-        if not class_scale:
-            continue
-        for at in range(pos, stop):
-            states = _advance(states, plan.steps[at])
-            if plan.splits[at + 1]:
-                yield from _classes(states, plan, at + 1, stop,
-                                    plan.finish[at + 1], class_scale)
-                break
-        else:
-            yield class_scale, states
+    return [(states, pos, class_scale) for k, states in classes.items()
+            if (class_scale := scale * _factors(tests, k, mask))]
 
 
 def _factors(tests: tuple, key: int, mask: int) -> int:
-    """Product of the factor tests at ``key``."""
-    return math.prod(ci * ((key >> si) & mask) + cj * ((key >> sj) & mask)
-                     - target for (si, ci, sj, cj, target) in tests)
-
-
-def _product(blocks: tuple, memos: list[dict], key: int, mask: int) -> int:
-    """Product of the block values at ``key``, each memoized on its digits;
-    0 as soon as one block is zero."""
+    """Product of the factor tests at ``key``; 0 at the first zero factor."""
     out = 1
-    for (digits, tests), memo in zip(blocks, memos):
-        sub = key & digits
-        value = memo.get(sub)
-        if value is None:
-            value = memo[sub] = _factors(tests, sub, mask)
-        if not value:
+    for si, ci, sj, cj, target in tests:
+        out *= ci * ((key >> si) & mask) + cj * ((key >> sj) & mask) - target
+        if not out:
             return 0
-        out *= value
     return out
 
 
-def _sum_from(plan: _Plan, states: dict, pos: int) -> tuple[int, int]:
-    """Signed sum of factor products and nonzero-term count from root ``pos``.
+def _walk(plan: _Plan, stack: list, stop: int) -> tuple[int, int, list]:
+    """Walk the classes on ``stack`` to root ``stop``, splitting them where
+    digits finish.
 
-    The classes open with the factors of ``finish[0..pos]``, which read only
-    digits final by then, so any states reached after ``pos`` roots may be
-    passed in.  Each class contributes its scale times the sum of its
-    states' block products; a state with a zero block is not a nonzero term.
-    The memos live for this call only.
+    A class that reaches the last root adds its scale times the sum of its
+    states' block products to the total, each block value memoized on its
+    digits for this call; a state with a zero block is not a nonzero term.
+    Returns (total, nonzero-term count, frontier): the frontier holds the
+    classes that stop short of the last root, so it is empty when ``stop``
+    is the number of roots.
     """
-    mask, m = plan.mask, len(plan.steps)
-    memos = [{} for _ in plan.blocks]
+    steps, splits, finish, mask = plan.steps, plan.splits, plan.finish, plan.mask
+    m = len(steps)
+    blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
     total = nonzero = 0
-    for scale, states in _classes(states, plan, pos, m,
-                                  sum(plan.finish[:pos + 1], ())):
-        part = 0
-        for key, (signed, count) in states.items():
-            term = _product(plan.blocks, memos, key, mask)
-            if term:
-                nonzero += count
-                part += signed * term
-        total += part * scale
-    return total, nonzero
+    frontier = []
+    while stack:
+        states, pos, scale = stack.pop()
+        while pos < stop:
+            # add root ``pos`` to every subset
+            step, out = steps[pos], dict(states)
+            get = out.get
+            for key, (signed, count) in states.items():
+                new = key + step
+                old = get(new)
+                out[new] = ((-signed, count) if old is None
+                            else (old[0] - signed, old[1] + count))
+            states = out
+            pos += 1
+            if splits[pos]:
+                stack += _open(plan, states, pos, finish[pos], scale)
+                break
+        else:
+            if pos < m:
+                frontier.append((states, pos, scale))
+                continue
+            part = 0
+            for key, (signed, count) in states.items():
+                term = 1
+                for digits, tests, memo in blocks:
+                    sub = key & digits
+                    value = memo.get(sub)
+                    if value is None:
+                        value = memo[sub] = _factors(tests, sub, mask)
+                    if not value:
+                        break
+                    term *= value
+                else:
+                    nonzero += count
+                    part += signed * term
+            total += part * scale
+    return total, nonzero, frontier
 
 
-def _prefix(plan: _Plan, depth: int) -> list[tuple[int, tuple[int, int]]]:
-    """The states left after the first ``depth`` roots, in key order.
-
-    Classes whose scale is 0 are dropped, and the scales are not kept:
-    ``_sum_from`` opens its classes with those factors again.
-    """
-    return sorted(kv for _, states in _classes({plan.base: (1, 1)}, plan, 0,
-                                               depth, ())
-                  for kv in states.items())
+def _sum_from(plan: _Plan, classes: list) -> tuple[int, int]:
+    """Signed sum of factor products and nonzero-term count of ``classes``,
+    each walked to the last root."""
+    return _walk(plan, classes, len(plan.steps))[:2]
 
 
 class _WorkerPool:
@@ -411,29 +400,31 @@ def worker_pool() -> Iterator[_WorkerPool]:
         pool.shutdown()
 
 
-def _pooled_sum(plan: _Plan, workers: int) -> tuple[int, int]:
-    """``_sum_from`` split across worker processes.
+def _pooled_sum(plan: _Plan, start: list, workers: int) -> tuple[int, int]:
+    """``_sum_from`` of the ``start`` classes split across worker processes.
 
-    The first few roots are walked here; the states of the nonzero classes
-    are dealt round-robin in key order into min(workers, states) chunks, and
-    each chunk's classes are reopened, scales included, and walked to the
-    end.  The split follows ``workers`` alone; the chunks go to the executor
-    of the open ``worker_pool`` block, with min(workers, CPUs) processes
-    (outside any block the sum opens a block of its own).  With one chunk
-    or one CPU the walk stays here, without a pool.  Every part is an exact
-    integer, so the result is the same for any worker count.
+    The first few roots are walked here; the frontier classes, each with its
+    scale, are dealt whole and round-robin into min(workers, classes) chunks,
+    and each chunk is walked to the end, so every state is walked once.  The
+    split follows ``workers`` alone; the chunks go to the executor of the
+    open ``worker_pool`` block, with min(workers, CPUs) processes (outside
+    any block the sum opens a block of its own).  With one chunk or one CPU
+    the walk stays here, without a pool.  Every part is an exact integer, so
+    the result is the same for any worker count.
     """
     depth = min(len(plan.steps), workers.bit_length() + 2)
-    items = _prefix(plan, depth)
-    size = min(workers, len(items))
+    total, nonzero, frontier = _walk(plan, start, depth)
+    size = min(workers, len(frontier))
     processes = min(workers, os.cpu_count() or 1)
     if size <= 1 or processes <= 1:
-        return _sum_from(plan, dict(items), depth)
-    chunks = [dict(items[w::size]) for w in range(size)]
-    with worker_pool() as pool:
-        parts = list(pool.get(processes).map(
-            _sum_from, [plan] * size, chunks, [depth] * size))
-    return sum(t for t, _ in parts), sum(nz for _, nz in parts)
+        parts = [_sum_from(plan, frontier)]
+    else:
+        with worker_pool() as pool:
+            parts = list(pool.get(processes).map(
+                _sum_from, [plan] * size,
+                [frontier[w::size] for w in range(size)]))
+    return (total + sum(t for t, _ in parts),
+            nonzero + sum(nz for _, nz in parts))
 
 
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
@@ -443,14 +434,15 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
     Sums of at least 2^12 subsets are split ``workers`` ways, across no
-    more processes than CPUs, when ``workers`` > 1.
+    more processes than CPUs, when ``workers`` > 1, each state walked once.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
         return 0, 0
+    start = _open(plan, {plan.base: (1, 1)}, 0, plan.finish[0], 1)
     if workers > 1 and len(deltas) >= 12:
-        return _pooled_sum(plan, workers)
-    return _sum_from(plan, {plan.base: (1, 1)}, 0)
+        return _pooled_sum(plan, start, workers)
+    return _sum_from(plan, start)
 
 
 def _scale_for(lam: Weight) -> int:

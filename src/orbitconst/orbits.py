@@ -43,12 +43,14 @@ class SignedTableau:
 class RealForm:
     """A real form of the case's complex orbit.
 
-    ``index`` is the 1-based position in the canonical list; ``kind`` is the
-    per-family identity the closed forms are keyed on (the integer k for su
-    and sp, the even integer p for so-star, the form number 1..4 for so-odd
-    and so-even).  ``h`` is the neutral sl2-triple element.
+    ``case`` is the case whose orbit it is; ``index`` is the 1-based position
+    in the canonical list; ``kind`` is the per-family identity the closed
+    forms are keyed on (the integer k for su and sp, the even integer p for
+    so-star, the form number 1..4 for so-odd and so-even).  ``h`` is the
+    neutral sl2-triple element.
     """
 
+    case: GroupCase
     index: int
     label: str
     kind: int
@@ -209,7 +211,8 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
     forms: list[RealForm] = []
 
     def add(label, kind, h, cond, tab):
-        forms.append(RealForm(len(forms) + 1, label, kind, tuple(h), cond, tab))
+        forms.append(RealForm(case, len(forms) + 1, label, kind, tuple(h),
+                              cond, tab))
 
     if case.family == "su":
         for k in range(p + 1):
@@ -247,8 +250,11 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
 
 
 def get_form(case: GroupCase, index: RealForm | int) -> RealForm:
-    """Real form by 1-based canonical index; a RealForm is returned as is."""
+    """Real form by 1-based canonical index, or a RealForm of ``case`` as is."""
     if isinstance(index, RealForm):
+        if index.case != case:
+            raise ValueError(f"form {index.index} of {index.case} is not a "
+                             f"real form of {case}")
         return index
     if isinstance(index, bool) or not isinstance(index, int):
         raise TypeError(f"form index must be an int, got {index!r}")

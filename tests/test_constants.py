@@ -1,5 +1,7 @@
+import json
 import math
 import multiprocessing
+import pathlib
 import re
 from fractions import Fraction
 
@@ -16,9 +18,9 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         levi_k_poly, make_dim_poly, real_forms,
                         rho_n_orthogonal)
 from orbitconst import constants
-from orbitconst.constants import (_blocks, _pack_roots, _plan, _prefix,
+from orbitconst.constants import (_blocks, _open, _pack_roots, _plan,
                                   _prepare_enumeration, _subset_sum, _sum_from,
-                                  worker_pool)
+                                  _walk, worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -53,7 +55,7 @@ def test_levi_data_rejects_h_of_another_rank():
     foreign = get_form(GroupCase.su(1, 2), 2)
     with pytest.raises(ValueError, match="h has length 3 but SU\\(1,1\\) "
                                          "has rank 2"):
-        constant_brute_force_orig(case, foreign, default_lambda(case, 1))
+        levi_data(build_root_system(case), foreign.h)
 
 
 def test_delta_p1_includes_negative_roots():
@@ -371,16 +373,27 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     expected = _naive_sum(base, deltas, packed)
     assert _subset_sum(base, deltas, packed) == expected
     # the pooled path's split, without processes: walk ``depth`` roots, deal
-    # the states round-robin and finish each chunk on its own
+    # the frontier classes round-robin and finish each chunk on its own
     plan = _plan(base, deltas, packed)
     if plan is None:
         assert expected == (0, 0)
         return
     depth = min(depth, len(deltas))
-    items = _prefix(plan, depth)
-    parts = [_sum_from(plan, dict(items[w::chunks]), depth)
-             for w in range(chunks)]
-    assert (sum(t for t, _ in parts), sum(n for _, n in parts)) == expected
+    total, nonzero, frontier = _walk(plan, _start(plan), depth)
+    if depth == len(deltas):
+        assert frontier == []
+    dealt = [frontier[w::chunks] for w in range(chunks)]
+    keys = [key for chunk in dealt for states, _, _ in chunk for key in states]
+    assert len(keys) == len(set(keys))
+    parts = [_sum_from(plan, chunk) for chunk in dealt]
+    assert (total + sum(t for t, _ in parts),
+            nonzero + sum(n for _, n in parts)) == expected
+
+
+def _start(plan):
+    """The one class the walk opens with: the base state, scaled by the
+    factors no root changes."""
+    return _open(plan, {plan.base: (1, 1)}, 0, plan.finish[0], 1)
 
 
 def test_plan_is_none_for_a_zero_factor_the_roots_leave_unchanged():
@@ -439,14 +452,15 @@ def test_pooled_kernel_matches_naive_reference():
         _naive_sum(base, deltas, packed)
 
 
-def test_one_prefix_state_is_summed_without_a_pool(monkeypatch):
+def test_one_prefix_class_is_summed_without_a_pool(monkeypatch):
     case = GroupCase.so_odd(2, 4)            # SO_e(4,9): form 3 has 2^14 subsets
     rs = build_root_system(case)
     form = get_form(case, 3)
     base, deltas, packed, _ = _prepare_enumeration(
         rs, levi_data(rs, form.h), default_lambda(case, form), "v2")
     assert len(deltas) == 14
-    assert len(_prefix(_plan(base, deltas, packed), 4)) == 1
+    plan = _plan(base, deltas, packed)
+    assert len(_walk(plan, _start(plan), 4)[2]) == 1
     expected = _subset_sum(base, deltas, packed)
 
     def no_pool(*args, **kwargs):
@@ -495,9 +509,9 @@ def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-        def map(self, fn, plans, chunks, depths):
+        def map(self, fn, plans, chunks):
             mapped.append(len(chunks))
-            return super().map(fn, plans, chunks, depths)
+            return super().map(fn, plans, chunks)
 
     monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
@@ -512,6 +526,25 @@ def test_worker_split_is_exact():
     one = constant_brute_force_orig(case, form, lam=lam, workers=1)
     four = constant_brute_force_orig(case, form, lam=lam, workers=4)
     assert one == four == constant_closed_form(case, form)
+
+
+KERNEL_COUNTS = pathlib.Path(__file__).parent / "kernel_counts.json"
+
+
+def test_kernel_counts_are_pinned_per_form():
+    # (subsets, nonzero) of every acceptance form at lambda_0, orig always
+    # and v2 where rho_n(l) is orthogonal: a kernel change that moves one
+    # form's count shows here even where the totals still agree
+    counts = {}
+    for case in acceptance_cases():
+        rs = build_root_system(case)
+        for form in real_forms(case):
+            levi = levi_data(rs, form.h)
+            lam = default_lambda(case, form)
+            for variant in ("orig", "v2")[:1 + rho_n_orthogonal(levi)]:
+                _, nonzero, subsets = alternating_sum(rs, levi, lam, variant)
+                counts[f"{case} {form.index} {variant}"] = [subsets, nonzero]
+    assert counts == json.loads(KERNEL_COUNTS.read_text())
 
 
 @pytest.mark.parametrize("workers, error", [
@@ -565,6 +598,35 @@ def test_auto_sign_relation_examples():
     case = GroupCase.so_even(2, 2)
     forms = real_forms(case)
     assert auto_sign_relation(case, 3, forms[2], forms[3]) == 1
+
+
+def _flip_pairs():
+    """The pairs of criterion 6 as (case, form I or III, its flip, coordinate)."""
+    for case in acceptance_cases():
+        kinds = {f.kind: f for f in real_forms(case)}
+        if case.family in ("so-odd", "so-even") and 2 in kinds:
+            yield case, kinds[1], kinds[2], case.p - 1
+        if case.family == "so-even" and 4 in kinds:
+            yield case, kinds[3], kinds[4], case.rank - 1
+
+
+def test_flipped_forms_transport_the_kernel_counts_and_constants():
+    # the flip carries the terms of form I (III) at lambda_0 one to one onto
+    # those of form II (IV) at the flipped lambda_0, with the same P_K value
+    pairs = list(_flip_pairs())
+    assert sorted((case.family, f2.kind) for case, _, f2, _ in pairs) == (
+        [("so-even", 2)] * 5 + [("so-even", 4)] * 2 + [("so-odd", 2)] * 12)
+    for case, form1, form2, coord in pairs:
+        rs = build_root_system(case)
+        lam = default_lambda(case, form1)
+        moved = flip(lam, coord)
+        _, nonzero1, _ = alternating_sum(rs, levi_data(rs, form1.h), lam)
+        _, nonzero2, _ = alternating_sum(rs, levi_data(rs, form2.h), moved)
+        tag = (str(case), form2.index)
+        assert nonzero1 == nonzero2, tag
+        c1 = constant_brute_force_orig(case, form1, lam=lam)
+        c2 = constant_brute_force_orig(case, form2, lam=moved)
+        assert c2 == auto_sign_relation(case, coord, form1, form2) * c1, tag
 
 
 def test_auto_sign_relation_checks_hypotheses():

@@ -7,8 +7,8 @@ import pathlib
 import orbitconst
 
 ORACLES = pathlib.Path(orbitconst.__file__).parent / "oracles.py"
-KERNEL = {"_plan", "_subset_sum", "_sum_from", "_classes", "_advance",
-          "_product", "_pooled_sum", "alternating_sum"}
+KERNEL = {"_plan", "_subset_sum", "_sum_from", "_open", "_walk", "_factors",
+          "_pooled_sum", "alternating_sum"}
 
 
 def _names(tree):

@@ -2,10 +2,12 @@ import re
 
 import pytest
 
-from orbitconst import (GroupCase, SignedTableau, dominant_h, get_form,
+from orbitconst import (GroupCase, SignedTableau, auto_sign_relation,
+                        constant_brute_force_orig, constant_closed_form,
+                        default_lambda, dominant_h, get_form,
                         h_from_partition, h_from_signed_tableau, is_very_even,
-                        orbit_partition, real_forms, validate_partition,
-                        weighted_dynkin)
+                        lambda_candidates, orbit_partition, real_forms,
+                        surviving_terms, validate_partition, weighted_dynkin)
 
 
 def test_validate_partition():
@@ -73,6 +75,30 @@ def test_get_form_validates_the_index():
         with pytest.raises(ValueError, match=f"form {bad} does not exist"):
             get_form(case, bad)
     assert get_form(case, 2).kind == 1
+
+
+@pytest.mark.parametrize("entry", [
+    lambda case, form: constant_brute_force_orig(case, form),
+    lambda case, form: constant_closed_form(case, form),
+    lambda case, form: default_lambda(case, form),
+    lambda case, form: lambda_candidates(case, form),
+    lambda case, form: surviving_terms(case, form),
+    lambda case, form: auto_sign_relation(case, 0, form, 1),
+    lambda case, form: auto_sign_relation(case, 0, 1, form),
+], ids=["brute_force_orig", "closed_form", "default_lambda",
+        "lambda_candidates", "surviving_terms", "auto_sign_form1",
+        "auto_sign_form2"])
+def test_a_form_of_another_case_is_rejected(entry):
+    # both pairs once returned a number: 0 from the brute force for the
+    # first, 3 from the closed form for the second
+    for case, other, index in ((GroupCase.so_odd(2, 2), GroupCase.sp(4), 2),
+                               (GroupCase.su(3, 3), GroupCase.su(2, 3), 3)):
+        foreign = real_forms(other)[index - 1]
+        with pytest.raises(ValueError, match=(
+                f"form {index} of {re.escape(str(other))} is not a real form "
+                f"of {re.escape(str(case))}")):
+            entry(case, foreign)
+        assert get_form(other, foreign) is foreign
 
 
 def test_real_form_counts():
