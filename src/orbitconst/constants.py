@@ -32,9 +32,11 @@ loop over a stack of classes.  It can be shared among worker processes: the
 first few roots are walked here and the classes reached there are dealt
 whole, scales included, to the workers, so each state is walked once.  The
 result is bit-identical for any worker count because every partial sum is
-an exact integer.  The pooled sums inside a ``worker_pool()`` block share
-one executor, which the first of them starts and the outermost block shuts
-down; a sum outside any block opens one for itself.
+an exact integer.  A ``worker_pool()`` block is one run: it holds the one
+executor its pooled sums share, which the first of them starts and the
+outermost block shuts down, and the memo of its evaluations, which goes
+with the block.  A sum outside any block opens one for itself, and outside
+a block nothing is memoized.
 """
 
 from __future__ import annotations
@@ -348,8 +350,9 @@ def _sum_from(plan: _Plan, classes: list) -> tuple[int, int]:
     return _walk(plan, classes, len(plan.steps))[:2]
 
 
-class _WorkerPool:
-    """The one executor that the pooled sums of a block share.
+class _Run:
+    """The context of one run: the executor its pooled sums share and the
+    memo of its evaluations, which ``verify.cached_constant`` fills.
 
     The executor starts with the first sum that needs it and is replaced when
     a sum asks for another number of processes; the old one is shut down
@@ -359,9 +362,10 @@ class _WorkerPool:
     def __init__(self):
         self.size = 0
         self.executor = None
+        self.memo = {}
 
     def get(self, size: int) -> ProcessPoolExecutor:
-        """The block's executor, with ``size`` processes."""
+        """The run's executor, with ``size`` processes."""
         if self.executor is not None and self.size != size:
             self.shutdown()
         if self.executor is None:
@@ -375,29 +379,29 @@ class _WorkerPool:
             executor.shutdown(cancel_futures=True)
 
 
-_open_pool: ContextVar[_WorkerPool | None] = ContextVar("worker_pool",
-                                                        default=None)
+_open_run: ContextVar[_Run | None] = ContextVar("run", default=None)
 
 
 @contextmanager
-def worker_pool() -> Iterator[_WorkerPool]:
-    """A block whose pooled sums share one executor.
+def worker_pool() -> Iterator[_Run]:
+    """A block that is one run: its pooled sums share one executor and its
+    evaluations one memo.
 
     Entering a block while one is open in the same thread joins it; the
     outermost block shuts the executor down when it exits, also on an
-    exception.
+    exception, and drops the memo with the run.
     """
-    pool = _open_pool.get()
-    if pool is not None:
-        yield pool
+    run = _open_run.get()
+    if run is not None:
+        yield run
         return
-    pool = _WorkerPool()
-    token = _open_pool.set(pool)
+    run = _Run()
+    token = _open_run.set(run)
     try:
-        yield pool
+        yield run
     finally:
-        _open_pool.reset(token)
-        pool.shutdown()
+        _open_run.reset(token)
+        run.shutdown()
 
 
 def _pooled_sum(plan: _Plan, start: list, workers: int) -> tuple[int, int]:
@@ -419,8 +423,8 @@ def _pooled_sum(plan: _Plan, start: list, workers: int) -> tuple[int, int]:
     if size <= 1 or processes <= 1:
         parts = [_sum_from(plan, frontier)]
     else:
-        with worker_pool() as pool:
-            parts = list(pool.get(processes).map(
+        with worker_pool() as run:
+            parts = list(run.get(processes).map(
                 _sum_from, [plan] * size,
                 [frontier[w::size] for w in range(size)]))
     return (total + sum(t for t, _ in parts),
@@ -469,6 +473,14 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     return tuple(base), tuple(deltas), packed, pk_denominator
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise unless ``value`` is an int (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
                     variant: str = "orig", term_cap: int = DEFAULT_TERM_CAP,
                     workers: int = 1) -> tuple[Fraction, int, int]:
@@ -479,10 +491,8 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     above 1.  v2 raises ``OrthogonalityError``, before the term-cap check,
     unless rho_n(l) is orthogonal to the compact Levi roots.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise TypeError(f"workers must be an int, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_positive("workers", workers)
+    _check_positive("term_cap", term_cap)
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")
@@ -603,10 +613,7 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
     Shifts are nonnegative integer combinations of the partial-sum weights
     (1,..,1,0,..,0); candidates with P_{L&K}(lambda) = 0 are rejected.
     """
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise TypeError(f"count must be an int, got {count!r}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    _check_positive("count", count)
     rs = build_root_system(case)
     form = get_form(case, form)
     levi = levi_data(rs, form.h)

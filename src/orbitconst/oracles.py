@@ -27,8 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, _prepare_enumeration,
-                        _scale_for, default_lambda, levi_data, levi_k_poly)
+from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, _check_positive,
+                        _prepare_enumeration, _scale_for, default_lambda,
+                        levi_data, levi_k_poly)
 from .orbits import RealForm, get_form
 from .rootsys import GroupCase, Root, Weight, _e2, build_root_system
 from .weylpoly import eval_dim_poly, make_dim_poly
@@ -61,6 +62,7 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
     zero abandons a branch with no survivor in it, and every leaf that is
     reached has had every factor tested and carries their product.
     """
+    _check_positive("term_cap", term_cap)
     rs = build_root_system(case)
     form = get_form(case, form)
     lam = default_lambda(case, form)

@@ -6,13 +6,13 @@ Each criterion function returns a dict with at least ``name``, ``passed`` and
 ``max_rank`` filter, and picks among them by family and form kind.
 ``run_all`` executes them in order and assembles a machine-readable report;
 the CLI ``verify`` command serializes it.
-Evaluations are memoized by ``cached_constant`` on every argument of the
-pipeline, so overlapping criteria do not recompute them.
+Evaluations go through ``cached_constant``, memoized on every argument of
+the pipeline in the run, the open ``constants.worker_pool()`` block: the
+criteria of one run share them, each run computes its own.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 
@@ -25,8 +25,15 @@ from .orbits import real_forms
 from .rootsys import GroupCase, type_b_positive_roots, type_d_positive_roots
 from .weylpoly import eval_dim_poly, make_dim_poly
 
-# (case, form, lam, variant, term_cap, workers) -> Evaluation
-cached_constant = functools.lru_cache(maxsize=None)(constants._constant)
+
+def cached_constant(case, form, lam, variant, term_cap, workers):
+    """``constants._constant``, memoized on every argument in the open run;
+    outside one it opens a run of its own, so nothing is kept."""
+    key = (case, form, lam, variant, term_cap, workers)
+    with constants.worker_pool() as run:
+        if key not in run.memo:
+            run.memo[key] = constants._constant(*key)
+        return run.memo[key]
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
@@ -291,7 +298,8 @@ def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
             skip_determinism=False) -> dict:
     """Run every criterion; returns the full report dict.
 
-    The criteria's pooled sums share one executor.
+    The run is one ``worker_pool()`` block: the criteria's pooled sums share
+    one executor and their evaluations one memo, which ends with the run.
     """
     scope = {"max_rank": max_rank, "term_cap": term_cap}
     summed = {**scope, "workers": workers}

@@ -17,7 +17,7 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         flip, get_form, lambda_candidates, levi_data,
                         levi_k_poly, make_dim_poly, real_forms,
                         rho_n_orthogonal)
-from orbitconst import constants
+from orbitconst import constants, oracles
 from orbitconst.constants import (_blocks, _open, _pack_roots, _plan,
                                   _prepare_enumeration, _subset_sum, _sum_from,
                                   _walk, worker_pool)
@@ -547,18 +547,25 @@ def test_kernel_counts_are_pinned_per_form():
     assert counts == json.loads(KERNEL_COUNTS.read_text())
 
 
-@pytest.mark.parametrize("workers, error", [
+@pytest.mark.parametrize("value, error", [
     (0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError),
-    ("2", TypeError)])
-def test_workers_are_validated_where_they_enter(workers, error):
+    (2.5, TypeError), ("2", TypeError), (None, TypeError)])
+def test_workers_are_validated_where_they_enter(value, error):
+    # the worker count, lambda_candidates' count and both term caps take the
+    # same checks, each naming its argument
     case = GroupCase.sp(2)
     rs = build_root_system(case)
     levi = levi_data(rs, get_form(case, 1).h)
-    with pytest.raises(error, match=re.escape(repr(workers))):
-        alternating_sum(rs, levi, default_lambda(case, 1), workers=workers)
-    # lambda_candidates' count takes the same values and the same checks
-    with pytest.raises(error, match="count .*" + re.escape(repr(workers))):
-        lambda_candidates(case, 1, count=workers)
+    lam = default_lambda(case, 1)
+    witness = ".*" + re.escape(repr(value))
+    with pytest.raises(error, match="workers" + witness):
+        alternating_sum(rs, levi, lam, workers=value)
+    with pytest.raises(error, match="term_cap" + witness):
+        alternating_sum(rs, levi, lam, term_cap=value)
+    with pytest.raises(error, match="term_cap" + witness):
+        oracles.surviving_terms(case, 1, term_cap=value)
+    with pytest.raises(error, match="count" + witness):
+        lambda_candidates(case, 1, count=value)
 
 
 def _is_shut_down(executor) -> bool:
@@ -627,6 +634,34 @@ def test_flipped_forms_transport_the_kernel_counts_and_constants():
         c1 = constant_brute_force_orig(case, form1, lam=lam)
         c2 = constant_brute_force_orig(case, form2, lam=moved)
         assert c2 == auto_sign_relation(case, coord, form1, form2) * c1, tag
+
+
+def test_flipped_forms_transport_the_terms_one_to_one():
+    # with F the pool-A roots of form I (III) that the flip makes negative,
+    # the term (A, C, weight, value) of form I maps to the term
+    # (flip(A - F) | -flip(F - A), flip(C), flip(weight), value) of form II
+    # (IV), and every term of form II is the image of exactly one
+    for case, form1, form2, coord in _flip_pairs():
+        rs = build_root_system(case)
+        positive = set(rs.positive)
+        outward = {a for a in levi_data(rs, form1.h).delta_n_plus_l
+                   if flip(a, coord) not in positive}
+
+        def image(term):
+            kept = {flip(a, coord) for a in set(term.a_set) - outward}
+            gained = {tuple(-x for x in flip(a, coord))
+                      for a in outward - set(term.a_set)}
+            return (frozenset(kept | gained),
+                    frozenset(flip(c, coord) for c in term.c_set),
+                    flip(term.weight, coord), term.value)
+
+        terms1 = oracles.surviving_terms(case, form1, variant="orig")
+        terms2 = oracles.surviving_terms(case, form2, variant="orig")
+        images = {image(t) for t in terms1}
+        tag = (str(case), form2.index)
+        assert len(images) == len(terms1) == len(terms2), tag
+        assert images == {(frozenset(t.a_set), frozenset(t.c_set), t.weight,
+                           t.value) for t in terms2}, tag
 
 
 def test_auto_sign_relation_checks_hypotheses():

@@ -1,6 +1,7 @@
 """The package stays pure standard library: every module it imports is its
-own or ships with Python, every name a module imports is used there, and
-every private module-level name is read somewhere in the package."""
+own or ships with Python, every name a module imports is used there, every
+private module-level name is read somewhere in the package, and no module
+memoizes with ``functools``' caches."""
 
 import ast
 import pathlib
@@ -81,3 +82,24 @@ def test_every_private_module_name_is_read():
             if name.startswith("_") and not name.startswith("__")
             and name not in read}
     assert dead == set()
+
+
+def _functools_caches(tree):
+    """``lru_cache`` or ``cache`` taken from ``functools`` in one source file,
+    imported by name or reached as an attribute."""
+    caches = {"lru_cache", "cache"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (a.name for a in node.names if a.name in caches)
+        elif (isinstance(node, ast.Attribute) and node.attr in caches
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            yield node.attr
+
+
+def test_no_module_memoizes_with_functools():
+    # evaluations are memoized in the run a worker_pool() block opens, and
+    # nowhere that outlives it
+    cached = {(path.name, name) for path in SOURCES
+              for name in _functools_caches(_tree(path))}
+    assert cached == set()

@@ -1,7 +1,6 @@
-"""The memo behind the criteria, the forms they skip over the term cap, what
-criterion 7 enumerates, and the one executor a run shares."""
+"""The memo a run keeps for its criteria, the forms they skip over the term
+cap, what criterion 7 enumerates, and the one executor a run shares."""
 
-import functools
 import multiprocessing
 
 import pytest
@@ -29,11 +28,42 @@ def _over_cap(max_rank, wanted=lambda case, form: True):
 def test_term_cap_is_honoured_after_a_full_cap_run():
     expected = _over_cap(4)
     assert len(expected) == 4
-    verify.cached_constant.cache_clear()
-    cold = verify.criterion_1(max_rank=4, term_cap=CAP)["details"]["skipped"]
-    verify.criterion_1(max_rank=4)
-    warm = verify.criterion_1(max_rank=4, term_cap=CAP)["details"]["skipped"]
+
+    def skipped(**cap):
+        return verify.criterion_1(max_rank=4, **cap)["details"]["skipped"]
+
+    # one run, so the warm pass reads what the earlier passes memoized
+    with constants.worker_pool():
+        cold = skipped(term_cap=CAP)
+        skipped()
+        warm = skipped(term_cap=CAP)
     assert cold == warm == expected
+
+
+def test_each_run_evaluates_afresh_and_shares_within_itself(monkeypatch):
+    evaluations, lookups = [], []
+    evaluate, look_up = constants._constant, verify.cached_constant
+
+    def evaluated(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    def looked_up(*args):
+        lookups.append(args)
+        return look_up(*args)
+
+    monkeypatch.setattr(constants, "_constant", evaluated)
+    monkeypatch.setattr(verify, "cached_constant", looked_up)
+    counts = []
+    for _ in range(2):
+        evaluations.clear()
+        lookups.clear()
+        verify.run_all(max_rank=3, skip_determinism=True)
+        counts.append((len(lookups), len(evaluations)))
+    # the second run proves as much as the first: nothing is kept between
+    assert counts[0] == counts[1]
+    looked, computed = counts[0]
+    assert looked > computed > 0
 
 
 def test_criteria_3_and_4_list_the_forms_they_skip():
@@ -126,9 +156,6 @@ def test_run_all_shares_one_executor_across_its_criteria(monkeypatch):
 
     executor = constants.ProcessPoolExecutor
     monkeypatch.setattr(constants, "ProcessPoolExecutor", counted)
-    # a memo of its own, so the pooled sums run again
-    monkeypatch.setattr(verify, "cached_constant", functools.lru_cache(
-        maxsize=None)(constants._constant))
     pooled = verify.run_all(workers=2, skip_determinism=True)
     assert len(started) == 1
     assert pooled["criteria"] == serial["criteria"]
