@@ -158,16 +158,13 @@ def rho_n_orthogonal(levi: LeviData) -> bool:
 
 
 def _pack_roots(roots: Sequence[Root]) -> tuple[tuple[int, int, int, int], ...]:
-    """Compress roots (at most two nonzero entries) to (i, ci, j, cj)."""
+    """Compress roots (at most two nonzero entries) to (i, ci, j, cj); a root
+    on one coordinate i is (i, ci, i, 0)."""
     packed = []
     for r in roots:
-        nz = [(i, c) for i, c in enumerate(r) if c]
-        if len(nz) == 1:
-            (i, ci), = nz
-            packed.append((i, ci, -1, 0))
-        else:
-            (i, ci), (j, cj) = nz
-            packed.append((i, ci, j, cj))
+        (i, ci), *rest = [(i, c) for i, c in enumerate(r) if c]
+        j, cj = rest[0] if rest else (i, 0)
+        packed.append((i, ci, j, cj))
     return tuple(packed)
 
 
@@ -230,8 +227,6 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     finish: list[list] = [[] for _ in range(m + 1)]
     live = []
     for (i, ci, j, cj) in packed:
-        if j < 0:
-            j, cj = i, 0
         if ci * base[i] + cj * base[j] == 0 and not any(
                 ci * d[i] + cj * d[j] for d in deltas):
             return None
@@ -263,16 +258,16 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(blocks)
 
 
-def _open(plan: _Plan, states: dict, pos: int, tests: tuple,
+def _open(plan: _Plan, states: dict, pos: int,
           scale: int) -> list[tuple[dict, int, int]]:
     """Split ``states`` into classes by the digits finished after ``pos`` roots.
 
     ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
-    A class's scale is ``scale`` times the factors ``tests`` on its digits;
-    classes whose scale is 0 are dropped.  Returns (states, pos, scale)
-    classes: states of different classes never merge again.
+    A class's scale is ``scale`` times the factors ``finish[pos]`` on its
+    digits; classes whose scale is 0 are dropped.  Returns (states, pos,
+    scale) classes: states of different classes never merge again.
     """
-    cut, mask = plan.cut[pos], plan.mask
+    cut, tests, mask = plan.cut[pos], plan.finish[pos], plan.mask
     classes: dict[int, dict] = {}
     for key, value in states.items():
         classes.setdefault(key & cut, {})[key] = value
@@ -301,7 +296,7 @@ def _walk(plan: _Plan, stack: list, stop: int) -> tuple[int, int, list]:
     classes that stop short of the last root, so it is empty when ``stop``
     is the number of roots.
     """
-    steps, splits, finish, mask = plan.steps, plan.splits, plan.finish, plan.mask
+    steps, splits, mask = plan.steps, plan.splits, plan.mask
     m = len(steps)
     blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
     total = nonzero = 0
@@ -320,7 +315,7 @@ def _walk(plan: _Plan, stack: list, stop: int) -> tuple[int, int, list]:
             states = out
             pos += 1
             if splits[pos]:
-                stack += _open(plan, states, pos, finish[pos], scale)
+                stack += _open(plan, states, pos, scale)
                 break
         else:
             if pos < m:
@@ -443,7 +438,7 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     plan = _plan(base, deltas, packed)
     if plan is None:
         return 0, 0
-    start = _open(plan, {plan.base: (1, 1)}, 0, plan.finish[0], 1)
+    start = _open(plan, {plan.base: (1, 1)}, 0, 1)
     if workers > 1 and len(deltas) >= 12:
         return _pooled_sum(plan, start, workers)
     return _sum_from(plan, start)
@@ -454,8 +449,12 @@ def _scale_for(lam: Weight) -> int:
 
 
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
-                         variant: str):
-    """Scaled base vector, per-root deltas and packed P_K numerator."""
+                         variant: str, term_cap: int):
+    """Scaled base vector, per-root deltas and packed P_K numerator; first
+    ``TermCapExceeded`` if the pool's 2^m subsets are over ``term_cap``."""
+    count = 1 << (len(levi.delta_n_plus_l) + len(levi.delta_p1))
+    if count > term_cap:
+        raise TermCapExceeded(count, term_cap)
     scale = _scale_for(lam)
     base = [int(scale * Fraction(x)) for x in lam]
     if variant == "orig":
@@ -496,18 +495,14 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")
-    m = len(levi.delta_n_plus_l) + len(levi.delta_p1)
-    count = 1 << m
-    if count > term_cap:
-        raise TermCapExceeded(count, term_cap)
     base, deltas, packed, pk_denominator = _prepare_enumeration(
-        rs, levi, lam, variant)
+        rs, levi, lam, variant, term_cap)
     total, nonzero = _subset_sum(base, deltas, packed, workers)
     exponent = levi.big_n
     if variant == "v2":
         exponent += len(levi.delta_n_plus_l)
     signed = total if exponent % 2 == 0 else -total
-    return Fraction(signed) / pk_denominator, nonzero, count
+    return Fraction(signed) / pk_denominator, nonzero, 1 << len(deltas)
 
 
 def levi_k_poly(rs: RootSystem, levi: LeviData) -> DimPoly:
@@ -612,8 +607,11 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
 
     Shifts are nonnegative integer combinations of the partial-sum weights
     (1,..,1,0,..,0); candidates with P_{L&K}(lambda) = 0 are rejected.
+    ``seed`` must be an int, so the shifts are reproducible.
     """
     _check_positive("count", count)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
     rs = build_root_system(case)
     form = get_form(case, form)
     levi = levi_data(rs, form.h)

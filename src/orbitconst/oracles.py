@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .constants import (DEFAULT_TERM_CAP, TermCapExceeded, _check_positive,
+from .constants import (DEFAULT_TERM_CAP, _check_positive,
                         _prepare_enumeration, _scale_for, default_lambda,
                         levi_data, levi_k_poly)
 from .orbits import RealForm, get_form
@@ -70,10 +70,8 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
     pool = levi.delta_n_plus_l + levi.delta_p1
     n_a = len(levi.delta_n_plus_l)
     m = len(pool)
-    if 1 << m > term_cap:
-        raise TermCapExceeded(1 << m, term_cap)
     base, deltas, packed, pk_denominator = _prepare_enumeration(
-        rs, levi, lam, variant)
+        rs, levi, lam, variant, term_cap)
     scale = _scale_for(lam)
     moves = [[(k, d) for k, d in enumerate(delta) if d] for delta in deltas]
     first = [m] * len(base)
@@ -82,13 +80,13 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
             first[k] = t
     tests = [[] for _ in range(m + 1)]
     for i, ci, j, cj in packed:
-        tests[min(first[i], first[j] if j >= 0 else m)].append((i, ci, j, cj))
+        tests[min(first[i], first[j])].append((i, ci, j, cj))
     vec = list(base)
     out = []
 
     def tested(prod: int, t: int) -> int:
         for i, ci, j, cj in tests[t]:
-            f = ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
+            f = ci * vec[i] + cj * vec[j]
             if f == 0:
                 return 0
             prod *= f

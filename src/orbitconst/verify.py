@@ -2,8 +2,10 @@
 
 Each criterion function returns a dict with at least ``name``, ``passed`` and
 ``details``.  Every criterion that runs over cases takes them from
-``acceptance_cases``, the one place that names the parameter ranges and the
-``max_rank`` filter, and picks among them by family and form kind.
+``acceptance_cases``, the one place that names the parameter ranges and
+checks and applies the ``max_rank`` filter, and picks among them by family
+and form kind.  Criteria 3, 4, 5 and 7 run one check per form through
+``_over_forms``, which lists a form over the term cap under ``skipped``.
 ``run_all`` executes them in order and assembles a machine-readable report;
 the CLI ``verify`` command serializes it.
 Evaluations go through ``cached_constant``, memoized on every argument of
@@ -38,6 +40,8 @@ def cached_constant(case, form, lam, variant, term_cap, workers):
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
     """The parameter sweep of the table-reproduction criterion."""
+    if max_rank is not None:
+        constants._check_positive("max_rank", max_rank)
     cases: list[GroupCase] = []
     for p in range(1, 6):
         for q in range(p, 7 - p):
@@ -50,9 +54,7 @@ def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
         for q in range(p, 5):
             cases.append(GroupCase.so_even(p, q))
     cases += [GroupCase.so_star(n) for n in range(1, 7)]
-    if max_rank is not None:
-        cases = [c for c in cases if c.rank <= max_rank]
-    return cases
+    return [c for c in cases if max_rank is None or c.rank <= max_rank]
 
 
 def _fmt_h(h) -> str:
@@ -115,28 +117,33 @@ def criterion_2() -> dict:
             "passed": not bad, "details": {"failures": bad}}
 
 
-def _details(failures, skipped) -> dict:
-    """Failures, plus the forms over the term cap when there are any."""
+def _over_forms(check, cases, forms) -> dict:
+    """``check(case, form)``'s failures over the forms ``forms(case)`` of
+    ``cases``; a form over the term cap is listed under ``skipped``, which
+    appears only when some form is."""
+    failures, skipped = [], []
+    for case in cases:
+        for form in forms(case):
+            try:
+                failures += check(case, form)
+            except TermCapExceeded:
+                skipped.append(f"{case} form {form.index}")
     return {"failures": failures, **({"skipped": skipped} if skipped else {})}
 
 
 def criterion_3(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 seed=0) -> dict:
     """Three distinct evaluation points give one and the same integer."""
-    bad, skipped = [], []
-    for case in acceptance_cases(max_rank):
-        for form in real_forms(case):
-            try:
-                lams = lambda_candidates(case, form, count=3, seed=seed)
-                values = {cached_constant(case, form, lam, "orig", term_cap,
-                                          workers).constant for lam in lams}
-            except TermCapExceeded:
-                skipped.append(f"{case} form {form.index}")
-                continue
-            if len(values) != 1:
-                bad.append((str(case), form.index, sorted(values)))
+    def check(case, form):
+        values = {cached_constant(case, form, lam, "orig", term_cap,
+                                  workers).constant
+                  for lam in lambda_candidates(case, form, count=3, seed=seed)}
+        return [] if len(values) == 1 else [
+            (str(case), form.index, sorted(values))]
+
+    details = _over_forms(check, acceptance_cases(max_rank), real_forms)
     return {"id": 3, "name": "lambda-independence of the brute-force constant",
-            "passed": not bad, "details": _details(bad, skipped)}
+            "passed": not details["failures"], "details": details}
 
 
 def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
@@ -144,46 +151,39 @@ def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
 
     v2 goes first: its ``OrthogonalityError`` precedes the term-cap check.
     """
-    bad, skipped = [], []
-    for case in acceptance_cases(max_rank):
-        for form in real_forms(case):
-            lam = default_lambda(case, form)
-            try:
-                v2 = cached_constant(case, form, lam, "v2", term_cap,
-                                     workers).constant
-                orig = cached_constant(case, form, lam, "orig", term_cap,
-                                       workers).constant
-            except OrthogonalityError:
-                bad.append((str(case), form.index, "orthogonality"))
-                continue
-            except TermCapExceeded:
-                skipped.append(f"{case} form {form.index}")
-                continue
-            if orig != v2:
-                bad.append((str(case), form.index, (orig, v2)))
+    def check(case, form):
+        lam = default_lambda(case, form)
+        try:
+            v2 = cached_constant(case, form, lam, "v2", term_cap,
+                                 workers).constant
+        except OrthogonalityError:
+            return [(str(case), form.index, "orthogonality")]
+        orig = cached_constant(case, form, lam, "orig", term_cap,
+                               workers).constant
+        return [] if orig == v2 else [(str(case), form.index, (orig, v2))]
+
+    details = _over_forms(check, acceptance_cases(max_rank), real_forms)
     return {"id": 4, "name": "formula equivalence and rho_n orthogonality",
-            "passed": not bad, "details": _details(bad, skipped)}
+            "passed": not details["failures"], "details": details}
 
 
 def criterion_5(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 seed=0) -> dict:
     """The raw alternating sum vanishes identically for the third so-odd form."""
-    bad, skipped = [], []
-    for case in acceptance_cases(max_rank):
-        if case.family != "so-odd":
-            continue
-        for form in (f for f in real_forms(case) if f.kind == 3):
-            for lam in lambda_candidates(case, form, count=3, seed=seed):
-                try:
-                    lhs = cached_constant(case, form, lam, "orig", term_cap,
-                                          workers).lhs
-                except TermCapExceeded:
-                    skipped.append(f"{case} form {form.index}")
-                    break
-                if lhs != 0:
-                    bad.append((str(case), [str(x) for x in lam], str(lhs)))
+    def check(case, form):
+        bad = []
+        for lam in lambda_candidates(case, form, count=3, seed=seed):
+            lhs = cached_constant(case, form, lam, "orig", term_cap,
+                                  workers).lhs
+            if lhs != 0:
+                bad.append((str(case), [str(x) for x in lam], str(lhs)))
+        return bad
+
+    details = _over_forms(
+        check, [c for c in acceptance_cases(max_rank) if c.family == "so-odd"],
+        lambda case: [f for f in real_forms(case) if f.kind == 3])
     return {"id": 5, "name": "vanishing sum for the third so-odd form",
-            "passed": not bad, "details": _details(bad, skipped)}
+            "passed": not details["failures"], "details": details}
 
 
 def criterion_6(*, max_rank=None) -> dict:
@@ -221,37 +221,39 @@ def criterion_7(*, max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     Every sp, so-star and su form is checked, and the first form of every
     so-odd and so-even case; sp and so-star come first, interleaved by n.
     """
-    bad, skipped = [], []
     shuffled = ("sp", "so-star")
-    for case in sorted(acceptance_cases(max_rank),
-                       key=lambda c: (c.family not in shuffled, c.n or 0)):
-        forms = real_forms(case)
-        for form in forms if case.family in shuffled + ("su",) else forms[:1]:
-            try:
-                survivors = oracles.surviving_terms(case, form,
-                                                    term_cap=term_cap)
-            except TermCapExceeded:
-                skipped.append(f"{case} form {form.index}")
-                continue
-            if not oracles.check_oracle_against_brute_force(
-                    case, form, survivors=survivors):
-                bad.append((str(case), form.index,
-                            "set mismatch" if case.family in shuffled else
-                            "su oracle" if case.family == "su"
-                            else "unique survivor"))
-                continue
-            if case.family not in shuffled:
-                continue
-            if len(survivors) != abs(constant_closed_form(case, form)):
-                bad.append((str(case), form.index, "count"))
-            if any(abs(t.value) != 1 for t in survivors):
-                bad.append((str(case), form.index, "value not +-1"))
-            if case.family == "sp":
-                pq = form.kind * (case.n - form.kind)
-                if any(len(t.a_set) * 2 != pq for t in survivors):
-                    bad.append((str(case), form.index, "#A != pq/2"))
+
+    def forms(case):
+        every = real_forms(case)
+        return every if case.family in shuffled + ("su",) else every[:1]
+
+    def check(case, form):
+        survivors = oracles.surviving_terms(case, form, term_cap=term_cap)
+        if not oracles.check_oracle_against_brute_force(
+                case, form, survivors=survivors):
+            return [(str(case), form.index,
+                     "set mismatch" if case.family in shuffled else
+                     "su oracle" if case.family == "su"
+                     else "unique survivor")]
+        if case.family not in shuffled:
+            return []
+        bad = []
+        if len(survivors) != abs(constant_closed_form(case, form)):
+            bad.append((str(case), form.index, "count"))
+        if any(abs(t.value) != 1 for t in survivors):
+            bad.append((str(case), form.index, "value not +-1"))
+        if case.family == "sp":
+            pq = form.kind * (case.n - form.kind)
+            if any(len(t.a_set) * 2 != pq for t in survivors):
+                bad.append((str(case), form.index, "#A != pq/2"))
+        return bad
+
+    details = _over_forms(
+        check, sorted(acceptance_cases(max_rank),
+                      key=lambda c: (c.family not in shuffled, c.n or 0)),
+        forms)
     return {"id": 7, "name": "oracle agreement for surviving terms",
-            "passed": not bad, "details": _details(bad, skipped)}
+            "passed": not details["failures"], "details": details}
 
 
 def criterion_8(*, max_rank=None) -> dict:

@@ -18,9 +18,9 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         levi_k_poly, make_dim_poly, real_forms,
                         rho_n_orthogonal)
 from orbitconst import constants, oracles
-from orbitconst.constants import (_blocks, _open, _pack_roots, _plan,
-                                  _prepare_enumeration, _subset_sum, _sum_from,
-                                  _walk, worker_pool)
+from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _open,
+                                  _pack_roots, _plan, _prepare_enumeration,
+                                  _subset_sum, _sum_from, _walk, worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -310,6 +310,28 @@ def test_term_cap():
     assert info.value.required > 4
 
 
+def test_the_cap_is_refused_before_p_k_is_built(monkeypatch):
+    # the kernel and the pruned walk both take the refusal from the set-up
+    case = GroupCase.so_odd(2, 2)
+    rs = build_root_system(case)
+    levi = levi_data(rs, get_form(case, 1).h)
+    m = len(levi.delta_n_plus_l) + len(levi.delta_p1)
+
+    def no_p_k(*args):
+        raise AssertionError("P_K was built")
+
+    monkeypatch.setattr(constants, "make_dim_poly", no_p_k)
+    for call in (lambda: _prepare_enumeration(
+                     rs, levi, default_lambda(case, 1), "orig", 4),
+                 lambda: alternating_sum(rs, levi, default_lambda(case, 1),
+                                         term_cap=4),
+                 lambda: oracles.surviving_terms(case, 1, "orig", term_cap=4)):
+        with pytest.raises(TermCapExceeded) as info:
+            call()
+        assert (info.value.required, info.value.cap) == (1 << m, 4)
+        assert str(info.value) == f"enumeration needs {1 << m} subsets, cap is 4"
+
+
 def test_lambda_degenerate_error():
     case = GroupCase.sp(2)
     with pytest.raises(LambdaDegenerateError):
@@ -324,8 +346,7 @@ def _naive_sum(base, deltas, packed):
         for t, delta in enumerate(deltas):
             if bits >> t & 1:
                 vec = [v + d for v, d in zip(vec, delta)]
-        prod = math.prod(ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
-                         for i, ci, j, cj in packed)
+        prod = math.prod(ci * vec[i] + cj * vec[j] for i, ci, j, cj in packed)
         if prod:
             nonzero += 1
             total += -prod if bits.bit_count() & 1 else prod
@@ -351,8 +372,8 @@ def _sums(draw):
     packed = []
     for _ in range(draw(st.integers(0, 5))):
         i = draw(st.integers(0, rank - 1))
-        j = draw(st.sampled_from([-1] + [x for x in range(rank) if x != i]))
-        packed.append((i, draw(_COEFF), j, draw(_COEFF) if j >= 0 else 0))
+        j = draw(st.sampled_from([i] + [x for x in range(rank) if x != i]))
+        packed.append((i, draw(_COEFF), j, draw(_COEFF) if j != i else 0))
     return tuple(base), tuple(deltas), tuple(packed)
 
 
@@ -360,14 +381,14 @@ def _sums(draw):
 @given(_sums(), st.integers(0, 10), st.integers(1, 3))
 # the hand split walks every root, so the chunks' classes open with every
 # finished factor (v_0); the last root zeroes v_0 + v_1 in one state
-@example(((1, 0), ((1, 0), (0, -1)), ((0, 1, -1, 0), (0, 1, 1, 1))), 2, 2)
+@example(((1, 0), ((1, 0), (0, -1)), ((0, 1, 0, 0), (0, 1, 1, 1))), 2, 2)
 # only the last root zeroes v_0, and only where the first root is absent
-@example(((1,), ((1,), (-1,)), ((0, 1, -1, 0),)), 0, 1)
+@example(((1,), ((1,), (-1,)), ((0, 1, 0, 0),)), 0, 1)
 # -v_1 - v_2 is final after the first root, and zero where that root is
 # absent, but its coordinates finish only at the second; -v_0 finishes at
 # the first root and is zero where that root is present
 @example(((-1, -1, 1), ((1, 0, 1), (0, -1, 1)),
-          ((2, -1, 1, -1), (0, -1, -1, 0))), 1, 2)
+          ((2, -1, 1, -1), (0, -1, 0, 0))), 1, 2)
 def test_kernel_matches_naive_reference(data, depth, chunks):
     base, deltas, packed = data
     expected = _naive_sum(base, deltas, packed)
@@ -393,7 +414,13 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
 def _start(plan):
     """The one class the walk opens with: the base state, scaled by the
     factors no root changes."""
-    return _open(plan, {plan.base: (1, 1)}, 0, plan.finish[0], 1)
+    return _open(plan, {plan.base: (1, 1)}, 0, 1)
+
+
+def test_a_root_on_one_coordinate_is_packed_onto_that_coordinate():
+    # (i, ci, i, 0): the factor is ci * v_i + 0 * v_i, with no sentinel
+    assert _pack_roots([(0, 2, 0), (1, 0, -1), (0, 0, 1)]) == (
+        (1, 2, 1, 0), (0, 1, 2, -1), (2, 1, 2, 0))
 
 
 def test_plan_is_none_for_a_zero_factor_the_roots_leave_unchanged():
@@ -412,7 +439,8 @@ def test_plan_tests_each_factor_once_where_it_finishes():
             levi = levi_data(rs, form.h)
             for variant in ("orig", "v2")[:1 + rho_n_orthogonal(levi)]:
                 base, deltas, packed, _ = _prepare_enumeration(
-                    rs, levi, default_lambda(case, form), variant)
+                    rs, levi, default_lambda(case, form), variant,
+                    DEFAULT_TERM_CAP)
                 plan = _plan(base, deltas, packed)
                 if plan is None:
                     continue
@@ -423,8 +451,7 @@ def test_plan_tests_each_factor_once_where_it_finishes():
                           for t in tests] + live
                 assert sorted((si // width, ci, sj // width, cj)
                               for _, (si, ci, sj, cj, _) in placed) == sorted(
-                    (i, ci, i, 0) if j < 0 else (i, ci, j, cj)
-                    for i, ci, j, cj in packed), (str(case), form.index)
+                    packed), (str(case), form.index)
                 for pos, (si, _, sj, _, _) in placed:
                     reads = mask << si | mask << sj
                     if pos < m:
@@ -441,7 +468,8 @@ def _sum_of_4096():
     rs = build_root_system(case)
     form = get_form(case, 1)
     base, deltas, packed, _ = _prepare_enumeration(
-        rs, levi_data(rs, form.h), default_lambda(case, form), "orig")
+        rs, levi_data(rs, form.h), default_lambda(case, form), "orig",
+        DEFAULT_TERM_CAP)
     assert len(deltas) == 12
     return base, deltas, packed
 
@@ -457,7 +485,8 @@ def test_one_prefix_class_is_summed_without_a_pool(monkeypatch):
     rs = build_root_system(case)
     form = get_form(case, 3)
     base, deltas, packed, _ = _prepare_enumeration(
-        rs, levi_data(rs, form.h), default_lambda(case, form), "v2")
+        rs, levi_data(rs, form.h), default_lambda(case, form), "v2",
+        DEFAULT_TERM_CAP)
     assert len(deltas) == 14
     plan = _plan(base, deltas, packed)
     assert len(_walk(plan, _start(plan), 4)[2]) == 1
@@ -475,7 +504,7 @@ def test_blocks_share_no_coordinate():
     # blocks, those of Sp(12,R) (K = U(6)) into one
     for case, count in ((GroupCase.so_even(3, 5), 2), (GroupCase.sp(6), 1)):
         rs = build_root_system(case)
-        tests = [(8 * i, ci, 8 * (i if j < 0 else j), cj, 0)
+        tests = [(8 * i, ci, 8 * j, cj, 0)
                  for i, ci, j, cj in _pack_roots(rs.compact_positive)]
         blocks = _blocks(tests, 0xFF)
         assert len(blocks) == count, str(case)
@@ -566,6 +595,20 @@ def test_workers_are_validated_where_they_enter(value, error):
         oracles.surviving_terms(case, 1, term_cap=value)
     with pytest.raises(error, match="count" + witness):
         lambda_candidates(case, 1, count=value)
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, "0", True])
+def test_lambda_candidates_take_only_an_int_seed(seed):
+    # None would seed from the OS, so criteria 3 and 5 would not repeat
+    with pytest.raises(TypeError, match="seed.*" + re.escape(repr(seed))):
+        lambda_candidates(GroupCase.so_even(2, 3), 1, seed=seed)
+
+
+def test_zero_and_negative_seeds_repeat():
+    case = GroupCase.so_even(2, 3)
+    for seed in (0, -7):
+        assert lambda_candidates(case, 1, seed=seed) == \
+            lambda_candidates(case, 1, seed=seed)
 
 
 def _is_shut_down(executor) -> bool:

@@ -15,7 +15,8 @@ from orbitconst import (alternating_sum, build_root_system,
                         constant_brute_force_orig, constant_closed_form,
                         default_lambda, eval_dim_poly, levi_data, levi_k_poly,
                         real_forms, rho_n_orthogonal)
-from orbitconst.constants import _prepare_enumeration, _subset_sum
+from orbitconst.constants import (DEFAULT_TERM_CAP, _prepare_enumeration,
+                                  _subset_sum)
 from orbitconst.verify import acceptance_cases
 
 SPREAD = 1 << 20
@@ -69,7 +70,7 @@ def test_degree_count():
 def _raw_v2(rs, levi, lam):
     """The v2 sum at ``lam``, also where ``alternating_sum`` refuses it."""
     base, deltas, packed, pk_denominator = _prepare_enumeration(
-        rs, levi, lam, "v2")
+        rs, levi, lam, "v2", DEFAULT_TERM_CAP)
     total, _ = _subset_sum(base, deltas, packed)
     sign = (-1) ** (levi.big_n + len(levi.delta_n_plus_l))
     return Fraction(sign * total) / pk_denominator

@@ -10,7 +10,8 @@ from orbitconst import (GroupCase, alternating_sum, build_root_system,
                         shuffle_terms_so_star, shuffle_terms_sp, shuffles,
                         su_predicted_c, surviving_terms)
 from orbitconst import oracles
-from orbitconst.constants import _prepare_enumeration, _scale_for
+from orbitconst.constants import (DEFAULT_TERM_CAP, _prepare_enumeration,
+                                  _scale_for)
 from orbitconst.oracles import SurvivingTerm, predicted_terms
 from orbitconst.verify import acceptance_cases
 
@@ -196,15 +197,14 @@ def _naive_surviving_terms(case, form, variant):
     pool = levi.delta_n_plus_l + levi.delta_p1
     n_a, m = len(levi.delta_n_plus_l), len(pool)
     base, deltas, packed, pk_denominator = _prepare_enumeration(
-        rs, levi, lam, variant)
+        rs, levi, lam, variant, DEFAULT_TERM_CAP)
     scale = _scale_for(lam)
     out = []
     for bits in range(1 << m):
         chosen = [t for t in range(m) if (bits >> t) & 1]
         vec = [b + sum(deltas[t][k] for t in chosen)
                for k, b in enumerate(base)]
-        prod = math.prod(ci * vec[i] + (cj * vec[j] if j >= 0 else 0)
-                         for i, ci, j, cj in packed)
+        prod = math.prod(ci * vec[i] + cj * vec[j] for i, ci, j, cj in packed)
         if prod:
             out.append(SurvivingTerm(
                 tuple(pool[t] for t in chosen if t < n_a),

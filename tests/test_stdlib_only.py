@@ -1,7 +1,7 @@
 """The package stays pure standard library: every module it imports is its
 own or ships with Python, every name a module imports is used there, every
-private module-level name is read somewhere in the package, and no module
-memoizes with ``functools``' caches."""
+private module-level name is read somewhere in the package, no module
+memoizes with ``functools``' caches, and one function refuses the term cap."""
 
 import ast
 import pathlib
@@ -103,3 +103,25 @@ def test_no_module_memoizes_with_functools():
     cached = {(path.name, name) for path in SOURCES
               for name in _functools_caches(_tree(path))}
     assert cached == set()
+
+
+def _cap_refusals(tree):
+    """Functions of one source file that ``raise TermCapExceeded(...)``,
+    by name or as an attribute; a nested raise names each enclosing one."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Raise)
+                        and isinstance(node.exc, ast.Call)
+                        and "TermCapExceeded" in (
+                            getattr(node.exc.func, "id", None),
+                            getattr(node.exc.func, "attr", None))):
+                    yield func.name
+
+
+def test_the_term_cap_is_refused_in_one_place():
+    # the set-up the kernel and the pruned walk share decides the refusal;
+    # a second copy could drift from it
+    refusals = [(path.name, name) for path in SOURCES
+                for name in _cap_refusals(_tree(path))]
+    assert refusals == [("constants.py", "_prepare_enumeration")]

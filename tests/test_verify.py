@@ -95,6 +95,18 @@ def test_criterion_4_reports_orthogonality_over_the_term_cap():
                        if f not in {f"{case} form 2" for case in witnesses}]
 
 
+@pytest.mark.parametrize("value, error", [
+    (0, ValueError), (-1, ValueError), (True, TypeError), (2.5, TypeError),
+    ("3", TypeError)])
+def test_max_rank_is_validated_where_it_enters(value, error):
+    # max_rank=0 once filtered out every case, and all nine criteria passed
+    # over zero forms
+    with pytest.raises(error, match="max_rank"):
+        verify.acceptance_cases(value)
+    with pytest.raises(error, match="max_rank"):
+        verify.run_all(max_rank=value)
+
+
 @pytest.mark.parametrize("criterion", [
     verify.criterion_1, verify.criterion_3, verify.criterion_4,
     verify.criterion_5, verify.criterion_6, verify.criterion_7,
