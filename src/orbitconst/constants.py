@@ -28,15 +28,15 @@ the split where they become final, into the class's scale, and a class whose
 scale is 0 is dropped; the rest are grouped into blocks that share no
 coordinate (K = K_1 x K_2 gives two), and a state's product is the product of
 its block values, each memoized on the block's digits.  The walk is one
-loop over a stack of classes.  It can be shared among worker processes: the
-first few roots are walked here and the classes reached there are dealt
-whole, scales included, to the workers, so each state is walked once.  The
-result is bit-identical for any worker count because every partial sum is
-an exact integer.  A ``worker_pool()`` block is one run: it holds the one
-executor its pooled sums share, which the first of them starts and the
-outermost block shuts down, and the memo of its evaluations, which goes
-with the block.  A sum outside any block opens one for itself, and outside
-a block nothing is memoized.
+loop over a stack of classes.  ``_subset_sum`` decides whether a sum is
+shared among worker processes: the first few roots are walked here and the
+classes reached there are dealt whole, scales included, to the workers, so
+each state is walked once.  The result is bit-identical for any worker
+count because every partial sum is an exact integer.  A ``worker_pool()``
+block is one run: it holds the one executor its pooled sums share, which
+the first of them starts and the outermost block shuts down, and the memo
+of its evaluations, which goes with the block.  A sum outside any block
+opens one for itself, and outside a block nothing is memoized.
 """
 
 from __future__ import annotations
@@ -285,19 +285,22 @@ def _factors(tests: tuple, key: int, mask: int) -> int:
     return out
 
 
-def _walk(plan: _Plan, stack: list, stop: int) -> tuple[int, int, list]:
-    """Walk the classes on ``stack`` to root ``stop``, splitting them where
-    digits finish.
+def _walk(plan: _Plan, stack: list,
+          stop: int | None = None) -> tuple[int, int, list]:
+    """Walk the classes on ``stack`` to root ``stop``, by default the last,
+    splitting them where digits finish.
 
     A class that reaches the last root adds its scale times the sum of its
     states' block products to the total, each block value memoized on its
     digits for this call; a state with a zero block is not a nonzero term.
     Returns (total, nonzero-term count, frontier): the frontier holds the
     classes that stop short of the last root, so it is empty when ``stop``
-    is the number of roots.
+    is the last root.
     """
     steps, splits, mask = plan.steps, plan.splits, plan.mask
     m = len(steps)
+    if stop is None:
+        stop = m
     blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
     total = nonzero = 0
     frontier = []
@@ -337,12 +340,6 @@ def _walk(plan: _Plan, stack: list, stop: int) -> tuple[int, int, list]:
                     part += signed * term
             total += part * scale
     return total, nonzero, frontier
-
-
-def _sum_from(plan: _Plan, classes: list) -> tuple[int, int]:
-    """Signed sum of factor products and nonzero-term count of ``classes``,
-    each walked to the last root."""
-    return _walk(plan, classes, len(plan.steps))[:2]
 
 
 class _Run:
@@ -399,49 +396,41 @@ def worker_pool() -> Iterator[_Run]:
         run.shutdown()
 
 
-def _pooled_sum(plan: _Plan, start: list, workers: int) -> tuple[int, int]:
-    """``_sum_from`` of the ``start`` classes split across worker processes.
-
-    The first few roots are walked here; the frontier classes, each with its
-    scale, are dealt whole and round-robin into min(workers, classes) chunks,
-    and each chunk is walked to the end, so every state is walked once.  The
-    split follows ``workers`` alone; the chunks go to the executor of the
-    open ``worker_pool`` block, with min(workers, CPUs) processes (outside
-    any block the sum opens a block of its own).  With one chunk or one CPU
-    the walk stays here, without a pool.  Every part is an exact integer, so
-    the result is the same for any worker count.
-    """
-    depth = min(len(plan.steps), workers.bit_length() + 2)
-    total, nonzero, frontier = _walk(plan, start, depth)
-    size = min(workers, len(frontier))
-    processes = min(workers, os.cpu_count() or 1)
-    if size <= 1 or processes <= 1:
-        parts = [_sum_from(plan, frontier)]
-    else:
-        with worker_pool() as run:
-            parts = list(run.get(processes).map(
-                _sum_from, [plan] * size,
-                [frontier[w::size] for w in range(size)]))
-    return (total + sum(t for t, _ in parts),
-            nonzero + sum(nz for _, nz in parts))
-
-
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
                 packed: Sequence[tuple[int, int, int, int]],
                 workers: int = 1) -> tuple[int, int]:
     """Sum over subsets S of the pool of (-1)^#S times the product of the
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
-    Sums of at least 2^12 subsets are split ``workers`` ways, across no
-    more processes than CPUs, when ``workers`` > 1, each state walked once.
+    The one place a sum is split: a sum of at least 2^12 subsets, when
+    ``workers`` > 1, walks min(m, workers.bit_length() + 2) of its m roots
+    here, deals the frontier classes, scales included, whole and round-robin
+    into min(workers, classes) chunks, and walks each chunk to the end, so
+    every state is walked once.  The split follows ``workers`` alone; the
+    chunks go to the executor of the open ``worker_pool`` block, with
+    min(workers, CPUs) processes (outside any block the sum opens one of its
+    own).  Any other sum, and a split into one chunk or on one CPU, is
+    walked here, without a pool.  Every part is an exact integer, so the
+    result is the same for any worker count.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
         return 0, 0
-    start = _open(plan, {plan.base: (1, 1)}, 0, 1)
-    if workers > 1 and len(deltas) >= 12:
-        return _pooled_sum(plan, start, workers)
-    return _sum_from(plan, start)
+    m = len(deltas)
+    depth = min(m, workers.bit_length() + 2) if workers > 1 and m >= 12 else m
+    total, nonzero, frontier = _walk(
+        plan, _open(plan, {plan.base: (1, 1)}, 0, 1), depth)
+    size = min(workers, len(frontier))
+    processes = min(workers, os.cpu_count() or 1)
+    if size <= 1 or processes <= 1:
+        parts = [_walk(plan, frontier)]
+    else:
+        with worker_pool() as run:
+            parts = list(run.get(processes).map(
+                _walk, [plan] * size,
+                [frontier[w::size] for w in range(size)]))
+    return (total + sum(t for t, _, _ in parts),
+            nonzero + sum(n for _, n, _ in parts))
 
 
 def _scale_for(lam: Weight) -> int:
@@ -451,7 +440,10 @@ def _scale_for(lam: Weight) -> int:
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
                          variant: str, term_cap: int):
     """Scaled base vector, per-root deltas and packed P_K numerator; first
-    ``TermCapExceeded`` if the pool's 2^m subsets are over ``term_cap``."""
+    ``ValueError`` for an unknown ``variant``, then ``TermCapExceeded`` if
+    the pool's 2^m subsets are over ``term_cap``."""
+    if variant not in ("orig", "v2"):
+        raise ValueError(f"unknown variant {variant!r}")
     count = 1 << (len(levi.delta_n_plus_l) + len(levi.delta_p1))
     if count > term_cap:
         raise TermCapExceeded(count, term_cap)
@@ -460,10 +452,8 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     if variant == "orig":
         base = [b - int(scale * r) for b, r in zip(base, levi.rho_n_l)]
         deltas = [tuple(scale * c for c in a) for a in levi.delta_n_plus_l]
-    elif variant == "v2":
-        deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
     pk = make_dim_poly(rs.compact_positive, rs.case.rank)
     packed = _pack_roots(pk.roots)
@@ -486,9 +476,9 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     """Left-hand side of the defining equation at ``lam``.
 
     Returns (LHS value, number of nonzero terms, total term count).
-    Sums of at least 2^12 subsets are split ``workers`` ways when it is
-    above 1.  v2 raises ``OrthogonalityError``, before the term-cap check,
-    unless rho_n(l) is orthogonal to the compact Levi roots.
+    ``workers`` splits the sum as ``_subset_sum`` decides.  v2 raises
+    ``OrthogonalityError``, before the term-cap check, unless rho_n(l) is
+    orthogonal to the compact Levi roots.
     """
     _check_positive("workers", workers)
     _check_positive("term_cap", term_cap)

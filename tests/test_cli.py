@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from orbitconst import GroupCase, get_form
+from orbitconst import GroupCase, NonIntegerQuotientError, get_form
 from orbitconst.cli import build_parser, main
 
 
@@ -44,6 +44,50 @@ def test_real_forms_json_tableau(capsys):
     first = doc["forms"][0]
     assert first["h"] == ["2", "1", "1", "0"]
     assert first["tableau"][0] == "+-+"
+
+
+def test_real_forms_csv(capsys):
+    code, out, _ = run(capsys, "real-forms", "--group", "sp", "--n", "2",
+                       "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["group", "index", "label", "h", "existsWhen"],
+        ["Sp(4,R)", "1", "k=0", "(-1,-1)", "always"],
+        ["Sp(4,R)", "2", "k=1", "(1,-1)", "always"],
+        ["Sp(4,R)", "3", "k=2", "(1,1)", "always"]]
+
+
+def test_real_forms_latex(capsys):
+    code, out, _ = run(capsys, "real-forms", "--group", "sp", "--n", "2",
+                       "--format", "latex")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == r"\begin{tabular}{lllll}"
+    assert lines[2] == r"group & index & label & h & existsWhen \\"
+    assert lines[4] == r"Sp(4,R) & 1 & k=0 & (-1,-1) & always \\"
+    assert lines[-1] == r"\end{tabular}"
+    assert len(lines) == 4 + 3 + 2
+
+
+@pytest.mark.parametrize("command", ["real-forms", "constant"])
+def test_a_case_command_without_group_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --group is required\n"
+
+
+def test_a_non_integer_quotient_exits_1(capsys, monkeypatch):
+    import orbitconst.cli as cli
+
+    def broken(*args):
+        raise NonIntegerQuotientError("LHS / P_LK = 1/2 is not an integer")
+
+    monkeypatch.setattr(cli, "_constant", broken)
+    code, _, err = run(capsys, "constant", "--group", "sp", "--n", "2",
+                       "--form", "1")
+    assert code == 1
+    assert err == ("error: non-integer quotient: "
+                   "LHS / P_LK = 1/2 is not an integer\n")
 
 
 def test_constant_su_both(capsys):

@@ -20,7 +20,7 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
 from orbitconst import constants, oracles
 from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _open,
                                   _pack_roots, _plan, _prepare_enumeration,
-                                  _subset_sum, _sum_from, _walk, worker_pool)
+                                  _subset_sum, _walk, worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -185,6 +185,33 @@ def test_lambda_candidates_distinct_and_regular():
         assert all(eval_dim_poly(plk, lam) != 0 for lam in lams)
 
 
+def test_lambda_candidates_refuse_a_degenerate_lambda_0(monkeypatch):
+    # P_{L&K} vanishes everywhere: lambda_0 is refused before any shift
+    case = GroupCase.so_even(2, 3)
+    seen = []
+    monkeypatch.setattr(constants, "eval_dim_poly",
+                        lambda poly, lam: seen.append(lam) or 0)
+    with pytest.raises(LambdaDegenerateError, match=(
+            rf"^lambda_0 is degenerate for {re.escape(str(case))}$")):
+        lambda_candidates(case, 1)
+    assert seen == [default_lambda(case, 1)]
+
+
+def test_lambda_candidates_give_up_after_500_degenerate_shifts(monkeypatch):
+    # P_{L&K} vanishes everywhere but at lambda_0: no shift is ever accepted
+    case = GroupCase.so_even(2, 3)
+    lam0 = default_lambda(case, 1)
+    seen = []
+    monkeypatch.setattr(constants, "eval_dim_poly",
+                        lambda poly, lam: seen.append(lam) or int(lam == lam0))
+    with pytest.raises(LambdaDegenerateError, match=(
+            rf"^could not find 2 non-degenerate lambdas for "
+            rf"{re.escape(str(case))}$")):
+        lambda_candidates(case, 1, count=2)
+    assert seen[0] == lam0 and lam0 not in seen[1:]
+    assert 1 < len(seen) <= 1 + 500
+
+
 def test_lambda_independence_small():
     for case, idx in ((GroupCase.sp(4), 3), (GroupCase.so_odd(2, 2), 1),
                       (GroupCase.su(2, 3), 2), (GroupCase.so_even(2, 2), 3)):
@@ -332,6 +359,19 @@ def test_the_cap_is_refused_before_p_k_is_built(monkeypatch):
         assert str(info.value) == f"enumeration needs {1 << m} subsets, cap is 4"
 
 
+def test_an_unknown_variant_is_refused_before_the_cap():
+    # a misspelled variant is a usage error at any cap, never a sum over it
+    case = GroupCase.so_even(3, 5)           # SO_e(6,10): form 3 is over cap 1
+    rs = build_root_system(case)
+    levi = levi_data(rs, get_form(case, 3).h)
+    lam = default_lambda(case, 3)
+    for cap in (1, DEFAULT_TERM_CAP):
+        with pytest.raises(ValueError, match="^unknown variant 'V2'$"):
+            alternating_sum(rs, levi, lam, variant="V2", term_cap=cap)
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+            oracles.surviving_terms(case, 3, variant="bogus", term_cap=cap)
+
+
 def test_lambda_degenerate_error():
     case = GroupCase.sp(2)
     with pytest.raises(LambdaDegenerateError):
@@ -406,7 +446,7 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     dealt = [frontier[w::chunks] for w in range(chunks)]
     keys = [key for chunk in dealt for states, _, _ in chunk for key in states]
     assert len(keys) == len(set(keys))
-    parts = [_sum_from(plan, chunk) for chunk in dealt]
+    parts = [_walk(plan, chunk)[:2] for chunk in dealt]
     assert (total + sum(t for t, _ in parts),
             nonzero + sum(n for _, n in parts)) == expected
 

@@ -93,6 +93,12 @@ def test_su_survivors_share_one_c():
     assert check_oracle_against_brute_force(case, form)
 
 
+def test_su_oracle_check_fails_on_a_wrong_survivor_count():
+    # C(2, k) survivors are predicted; none is the wrong count
+    assert check_oracle_against_brute_force(GroupCase.su(2, 2), 1,
+                                            survivors=[]) is False
+
+
 def test_su_survivor_count_q_equal_p():
     case = GroupCase.su(2, 2)
     form = get_form(case, 2)

@@ -1,7 +1,8 @@
 """The package stays pure standard library: every module it imports is its
 own or ships with Python, every name a module imports is used there, every
 private module-level name is read somewhere in the package, no module
-memoizes with ``functools``' caches, and one function refuses the term cap."""
+memoizes with ``functools``' caches, one function refuses the term cap, and
+one function, ``constants._subset_sum``, walks the kernel (``_walk``)."""
 
 import ast
 import pathlib
@@ -125,3 +126,22 @@ def test_the_term_cap_is_refused_in_one_place():
     refusals = [(path.name, name) for path in SOURCES
                 for name in _cap_refusals(_tree(path))]
     assert refusals == [("constants.py", "_prepare_enumeration")]
+
+
+def _readers(tree, name):
+    """Module-level functions and classes of one source file that read
+    ``name``, as a name or an attribute; "<module>" for a read outside them."""
+    for node in tree.body:
+        if any((isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                and n.id == name)
+               or (isinstance(n, ast.Attribute) and n.attr == name)
+               for n in ast.walk(node)):
+            yield getattr(node, "name", "<module>")
+
+
+def test_the_kernel_is_walked_in_one_place():
+    # the function that decides whether a sum is dealt to workers walks it;
+    # a second caller of the walk could split a sum by another rule
+    readers = [(path.name, name) for path in SOURCES
+               for name in _readers(_tree(path), "_walk")]
+    assert readers == [("constants.py", "_subset_sum")]
