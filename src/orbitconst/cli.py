@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from .constants import (DEFAULT_TERM_CAP, LambdaDegenerateError,
                         NonIntegerQuotientError, TermCapExceeded, _constant,
-                        closed_form_expr, constant_closed_form, levi_data,
+                        _form_data, closed_form_expr, constant_closed_form,
                         worker_pool)
 from .orbits import (dominant_h, get_form, orbit_partition, real_forms,
                      weighted_dynkin)
-from .rootsys import GroupCase, build_root_system
+from .rootsys import GroupCase
 from .verify import run_all
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -170,8 +170,7 @@ def cmd_constant(args) -> int:
 
 
 def _big_n(case, form) -> int:
-    rs = build_root_system(case)
-    return levi_data(rs, form.h).big_n
+    return _form_data(case, form).levi.big_n
 
 
 def _table_cases(args) -> list[GroupCase]:

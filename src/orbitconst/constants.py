@@ -34,8 +34,9 @@ classes reached there are dealt whole, scales included, to the workers, so
 each state is walked once.  The result is bit-identical for any worker
 count because every partial sum is an exact integer.  A ``worker_pool()``
 block is one run: it holds the one executor its pooled sums share, which
-the first of them starts and the outermost block shuts down, and the memo
-of its evaluations, which goes with the block.  A sum outside any block
+the first of them starts and the outermost block shuts down, and one memo,
+which goes with the block: its evaluations, each form's record (root
+system, Levi data, P_{L&K}) and each case's P_K.  A sum outside any block
 opens one for itself, and outside a block nothing is memoized.
 """
 
@@ -344,7 +345,7 @@ def _walk(plan: _Plan, stack: list,
 
 class _Run:
     """The context of one run: the executor its pooled sums share and the
-    memo of its evaluations, which ``verify.cached_constant`` fills.
+    memo that ``_in_run`` fills: evaluations, form records and P_K.
 
     The executor starts with the first sum that needs it and is replaced when
     a sum asks for another number of processes; the old one is shut down
@@ -394,6 +395,38 @@ def worker_pool() -> Iterator[_Run]:
     finally:
         _open_run.reset(token)
         run.shutdown()
+
+
+def _in_run(key, compute):
+    """``compute()``, memoized on ``key`` in the open run; outside any
+    ``worker_pool()`` block it is called afresh, so nothing is kept."""
+    run = _open_run.get()
+    if run is None:
+        return compute()
+    if key not in run.memo:
+        run.memo[key] = compute()
+    return run.memo[key]
+
+
+class _FormData(NamedTuple):
+    """What a form's evaluations derive from (case, form) alone."""
+
+    rs: RootSystem
+    form: RealForm
+    levi: LeviData
+    plk: DimPoly
+
+
+def _form_data(case: GroupCase, form: RealForm | int) -> _FormData:
+    """The form's record, built once per run; its root system once per case."""
+    form = get_form(case, form)
+
+    def build():
+        rs = _in_run(("rs", case), lambda: build_root_system(case))
+        levi = levi_data(rs, form.h)
+        return _FormData(rs, form, levi, levi_k_poly(rs, levi))
+
+    return _in_run(("form", case, form), build)
 
 
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
@@ -455,11 +488,15 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     else:
         deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
-    pk = make_dim_poly(rs.compact_positive, rs.case.rank)
-    packed = _pack_roots(pk.roots)
-    pk_denominator = Fraction(scale) ** len(packed) * math.prod(
-        pk.denominators, start=Fraction(1))
+    packed, pk_norm = _in_run(("P_K", rs.case), lambda: _compact_factors(rs))
+    pk_denominator = Fraction(scale) ** len(packed) * pk_norm
     return tuple(base), tuple(deltas), packed, pk_denominator
+
+
+def _compact_factors(rs: RootSystem) -> tuple[tuple, Fraction]:
+    """P_K's factors, packed, and the product of its denominators."""
+    pk = make_dim_poly(rs.compact_positive, rs.case.rank)
+    return _pack_roots(pk.roots), math.prod(pk.denominators, start=Fraction(1))
 
 
 def _check_positive(name: str, value) -> None:
@@ -506,16 +543,15 @@ def _as_weight(lam: Sequence) -> Weight:
 
 def _constant(case: GroupCase, form: RealForm | int, lam: Sequence | None,
               variant: str, term_cap: int, workers: int) -> Evaluation:
-    """The one evaluation pipeline: root system, Levi data, P_{L&K}(lam) and
-    the alternating sum, at lambda_0 when ``lam`` is None."""
-    rs = build_root_system(case)
-    form = get_form(case, form)
-    lam = _as_weight(lam) if lam is not None else default_lambda(case, form)
-    levi = levi_data(rs, form.h)
-    plk = eval_dim_poly(levi_k_poly(rs, levi), lam)
-    lhs, nonzero, subsets = alternating_sum(rs, levi, lam, variant, term_cap,
-                                            workers)
-    return Evaluation(case, form, lam, lhs, plk, nonzero, subsets)
+    """The one evaluation pipeline: the form's record, P_{L&K}(lam) and the
+    alternating sum, at lambda_0 when ``lam`` is None."""
+    data = _form_data(case, form)
+    lam = (_as_weight(lam) if lam is not None
+           else default_lambda(case, data.form))
+    plk = eval_dim_poly(data.plk, lam)
+    lhs, nonzero, subsets = alternating_sum(data.rs, data.levi, lam, variant,
+                                            term_cap, workers)
+    return Evaluation(case, data.form, lam, lhs, plk, nonzero, subsets)
 
 
 def constant_brute_force_orig(case: GroupCase, form: RealForm | int,
@@ -602,10 +638,7 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
     _check_positive("count", count)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
-    rs = build_root_system(case)
-    form = get_form(case, form)
-    levi = levi_data(rs, form.h)
-    plk = levi_k_poly(rs, levi)
+    plk = _form_data(case, form).plk
     lam0 = default_lambda(case, form)
     if eval_dim_poly(plk, lam0) == 0:
         raise LambdaDegenerateError(f"lambda_0 is degenerate for {case}")
@@ -704,9 +737,8 @@ def auto_sign_relation(case: GroupCase, coord: int,
     if not 0 <= coord < case.rank:
         raise ValueError(f"coordinate {coord} is outside 0..{case.rank - 1} "
                          f"(rank {case.rank})")
-    rs = build_root_system(case)
-    form1 = get_form(case, form1)
-    form2 = get_form(case, form2)
+    one, two = _form_data(case, form1), _form_data(case, form2)
+    rs = one.rs
     compact = rs.compact_set()
     images = {r: flip(r, coord) for r in rs.all_roots()}
     what = f"flipping coordinate {coord} does not"
@@ -716,10 +748,8 @@ def auto_sign_relation(case: GroupCase, coord: int,
         raise ValueError(f"{what} commute with the Cartan involution")
     if {images[r] for r in rs.compact_positive} != set(rs.compact_positive):
         raise ValueError(f"{what} preserve the compact positive system")
-    if flip(form1.h, coord) != form2.h:
+    if flip(one.form.h, coord) != two.form.h:
         raise ValueError(f"{what} map h1 to h2")
-    levi1 = levi_data(rs, form1.h)
-    levi2 = levi_data(rs, form2.h)
     positive = set(rs.positive)
-    flipped = sum(images[a] not in positive for a in levi1.delta_n_plus_l)
-    return (-1) ** (flipped + levi1.big_n + levi2.big_n)
+    flipped = sum(images[a] not in positive for a in one.levi.delta_n_plus_l)
+    return (-1) ** (flipped + one.levi.big_n + two.levi.big_n)

@@ -9,8 +9,9 @@ and form kind.  Criteria 3, 4, 5 and 7 run one check per form through
 ``run_all`` executes them in order and assembles a machine-readable report;
 the CLI ``verify`` command serializes it.
 Evaluations go through ``cached_constant``, memoized on every argument of
-the pipeline in the run, the open ``constants.worker_pool()`` block: the
-criteria of one run share them, each run computes its own.
+the pipeline in the run, the open ``constants.worker_pool()`` block, which
+also holds each form's record (root system, Levi data, P_{L&K}) and each
+case's P_K: the criteria of one run share them, each run computes its own.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ from .weylpoly import eval_dim_poly, make_dim_poly
 
 def cached_constant(case, form, lam, variant, term_cap, workers):
     """``constants._constant``, memoized on every argument in the open run;
-    outside one it opens a run of its own, so nothing is kept."""
+    outside one nothing is kept."""
     key = (case, form, lam, variant, term_cap, workers)
-    with constants.worker_pool() as run:
-        if key not in run.memo:
-            run.memo[key] = constants._constant(*key)
-        return run.memo[key]
+    return constants._in_run(key, lambda: constants._constant(*key))
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:

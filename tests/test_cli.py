@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from orbitconst import GroupCase, NonIntegerQuotientError, get_form
+from orbitconst import (GroupCase, NonIntegerQuotientError, build_root_system,
+                        get_form, levi_data, real_forms)
 from orbitconst.cli import build_parser, main
 
 
@@ -216,6 +217,25 @@ def test_table_all_families_json(capsys):
         for form in entry["forms"]:
             assert set(form) >= {"index", "label", "h", "N", "cClosed",
                                  "formula"}
+
+
+@pytest.mark.parametrize("command", ["table", "constant"])
+def test_n_counts_the_positive_roots_positive_on_h(capsys, command):
+    cases = {("so-even", "--p", "2", "--q", "3"): GroupCase.so_even(2, 3),
+             ("so-odd", "--p", "2", "--q", "2"): GroupCase.so_odd(2, 2),
+             ("su", "--p", "2", "--q", "3"): GroupCase.su(2, 3),
+             ("sp", "--n", "3"): GroupCase.sp(3),
+             ("so-star", "--n", "4"): GroupCase.so_star(4)}
+    for argv, case in cases.items():
+        code, out, _ = run(capsys, command, "--group", *argv, "--format",
+                           "json")
+        assert code == 0
+        doc = json.loads(out)
+        forms = (doc["cases"][0] if command == "table" else doc)["forms"]
+        rs = build_root_system(case)
+        assert [f["N"] for f in forms] == [
+            levi_data(rs, get_form(case, f["index"]).h).big_n for f in forms]
+        assert len(forms) == len(real_forms(case))
 
 
 def test_table_latex(capsys):

@@ -18,9 +18,10 @@ from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
                         levi_k_poly, make_dim_poly, real_forms,
                         rho_n_orthogonal)
 from orbitconst import constants, oracles
-from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _open,
-                                  _pack_roots, _plan, _prepare_enumeration,
-                                  _subset_sum, _walk, worker_pool)
+from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _constant,
+                                  _form_data, _open, _pack_roots, _plan,
+                                  _prepare_enumeration, _subset_sum, _walk,
+                                  worker_pool)
 from orbitconst.verify import acceptance_cases
 
 
@@ -678,6 +679,58 @@ def test_worker_pool_shuts_down_on_an_exception():
             raise RuntimeError("on purpose")
     assert pool.executor is None and _is_shut_down(executor)
     assert multiprocessing.active_children() == []
+
+
+def _count_builds(monkeypatch):
+    """Calls of the three set-up builders ``constants`` reads, by name."""
+    calls = {"build_root_system": 0, "levi_data": 0, "make_dim_poly": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(constants, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(constants, name, counted)
+    return calls
+
+
+def test_a_run_sets_up_each_form_once(monkeypatch):
+    case = GroupCase.sp(3)
+    lams = lambda_candidates(case, 2, count=3)
+    calls = _count_builds(monkeypatch)
+    with worker_pool():
+        values = {_constant(case, 2, lam, variant, DEFAULT_TERM_CAP,
+                            1).constant
+                  for lam in lams for variant in ("orig", "v2")}
+    assert values == {constant_closed_form(case, 2)}
+    # one root system and Levi, one P_{L&K} and one P_K
+    assert calls == {"build_root_system": 1, "levi_data": 1,
+                     "make_dim_poly": 2}
+
+
+def test_nothing_is_set_up_for_longer_than_a_run(monkeypatch):
+    case = GroupCase.sp(3)
+    calls = _count_builds(monkeypatch)
+    for _ in range(2):
+        _constant(case, 2, None, "orig", DEFAULT_TERM_CAP, 1)
+    assert calls == {"build_root_system": 2, "levi_data": 2,
+                     "make_dim_poly": 4}
+    for _ in range(2):
+        with worker_pool():
+            _constant(case, 2, None, "orig", DEFAULT_TERM_CAP, 1)
+    assert calls == {"build_root_system": 4, "levi_data": 4,
+                     "make_dim_poly": 8}
+
+
+def test_each_form_of_a_case_has_its_own_record():
+    case = GroupCase.so_even(2, 2)
+    with worker_pool():
+        records = [_form_data(case, index) for index in (1, 2)]
+        assert _form_data(case, get_form(case, 1)) is records[0]
+    assert records[0] != records[1]
+    for index, record in zip((1, 2), records):
+        rs = build_root_system(case)
+        form = get_form(case, index)
+        levi = levi_data(rs, form.h)
+        assert record == (rs, form, levi, levi_k_poly(rs, levi))
 
 
 def test_auto_sign_relation_examples():

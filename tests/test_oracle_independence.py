@@ -1,14 +1,17 @@
 """The survivor enumeration in ``oracles`` stays independent of the kernel it
-checks: the module names nothing of the alternating-sum machinery."""
+checks: the module names nothing of the alternating-sum machinery, nor the
+per-form records a run holds for it, and classifies the roots itself."""
 
 import ast
 import pathlib
 
 import orbitconst
+from orbitconst import GroupCase, oracles
+from orbitconst.constants import _constant, worker_pool
 
 ORACLES = pathlib.Path(orbitconst.__file__).parent / "oracles.py"
-KERNEL = {"_plan", "_subset_sum", "_sum_from", "_open", "_walk", "_factors",
-          "_pooled_sum", "alternating_sum"}
+KERNEL = {"_plan", "_subset_sum", "_open", "_walk", "_factors",
+          "alternating_sum", "_in_run", "_form_data", "_FormData"}
 
 
 def _names(tree):
@@ -25,3 +28,21 @@ def _names(tree):
 def test_oracles_name_nothing_of_the_kernel():
     tree = ast.parse(ORACLES.read_text(), str(ORACLES))
     assert set(_names(tree)) & KERNEL == set()
+
+
+def test_surviving_terms_classify_the_roots_in_a_warm_run(monkeypatch):
+    # the pruned walk's subsets are counted from its own levi_data call, so
+    # a record the run already holds for the form must not stand in for it
+    calls = []
+    classify = oracles.levi_data
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    case = GroupCase.sp(3)
+    with worker_pool():
+        _constant(case, 2, None, "v2", 1 << 24, 1)
+        monkeypatch.setattr(oracles, "levi_data", counted)
+        survivors = oracles.surviving_terms(case, 2)
+    assert len(calls) == 1 and survivors
