@@ -135,11 +135,10 @@ def cmd_constant(args) -> int:
     brute = args.method == "both"
     # the sum at lambda_0, which is regular on every form; were it not,
     # Evaluation.constant raises LambdaDegenerateError naming the form
-    with worker_pool():
-        results = [(f, constant_closed_form(case, f),
-                    _constant(case, f, None, "orig", args.term_cap,
-                              args.workers) if brute else None)
-                   for f in forms]
+    results = [(f, constant_closed_form(case, f),
+                _constant(case, f, None, "orig", args.term_cap,
+                          args.workers) if brute else None)
+               for f in forms]
     agree = [ev is None or ev.constant == c for _, c, ev in results]
     if args.format == "json":
         doc = {"case": _case_json(case), "forms": []}
@@ -285,7 +284,10 @@ def main(argv=None) -> int:
             parser.error(f"--{flag.replace('_', '-')} must be at least 1, "
                          f"got {value}")
     try:
-        return args.func(args)
+        # each command is one run: it shares one memo and at most one
+        # executor, which is shut down on every path out
+        with worker_pool():
+            return args.func(args)
     except (ValueError, TermCapExceeded, LambdaDegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -345,25 +345,17 @@ def _walk(plan: _Plan, stack: list,
 
 class _Run:
     """The context of one run: the executor its pooled sums share and the
-    memo that ``_in_run`` fills: evaluations, form records and P_K.
-
-    The executor starts with the first sum that needs it and is replaced when
-    a sum asks for another number of processes; the old one is shut down
-    first, so at most one is alive.
-    """
+    memo that ``_in_run`` fills: evaluations, form records and P_K."""
 
     def __init__(self):
-        self.size = 0
         self.executor = None
         self.memo = {}
 
     def get(self, size: int) -> ProcessPoolExecutor:
-        """The run's executor, with ``size`` processes."""
-        if self.executor is not None and self.size != size:
-            self.shutdown()
+        """The first sum that pools starts the executor, with ``size``
+        processes, and every later sum of the run shares it."""
         if self.executor is None:
             self.executor = ProcessPoolExecutor(max_workers=size)
-            self.size = size
         return self.executor
 
     def shutdown(self) -> None:
@@ -378,7 +370,7 @@ _open_run: ContextVar[_Run | None] = ContextVar("run", default=None)
 @contextmanager
 def worker_pool() -> Iterator[_Run]:
     """A block that is one run: its pooled sums share one executor and its
-    evaluations one memo.
+    evaluations one memo.  Each CLI command is one run.
 
     Entering a block while one is open in the same thread joins it; the
     outermost block shuts the executor down when it exits, also on an
@@ -435,27 +427,28 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     """Sum over subsets S of the pool of (-1)^#S times the product of the
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
-    The one place a sum is split: a sum of at least 2^12 subsets, when
-    ``workers`` > 1, walks min(m, workers.bit_length() + 2) of its m roots
-    here, deals the frontier classes, scales included, whole and round-robin
-    into min(workers, classes) chunks, and walks each chunk to the end, so
-    every state is walked once.  The split follows ``workers`` alone; the
-    chunks go to the executor of the open ``worker_pool`` block, with
-    min(workers, CPUs) processes (outside any block the sum opens one of its
-    own).  Any other sum, and a split into one chunk or on one CPU, is
-    walked here, without a pool.  Every part is an exact integer, so the
-    result is the same for any worker count.
+    The one place a sum is split.  With min(workers, CPUs) processes, a sum
+    of at least 2^12 subsets is dealt when that is more than one: it walks
+    min(m, workers.bit_length() + 2) of its m roots here, deals the frontier
+    classes, scales included, whole and round-robin into min(workers,
+    classes) chunks, and walks each chunk to the end, so every state is
+    walked once.  The chunk count follows ``workers`` alone; the chunks go
+    to the executor of the open ``worker_pool`` block, which the run's first
+    dealt sum starts with its process count (outside any block the sum opens
+    one of its own).  Any other sum, and a frontier of one class, is walked
+    here, without a pool.  Every part is an exact integer, so the result is
+    the same for any worker count.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
         return 0, 0
     m = len(deltas)
-    depth = min(m, workers.bit_length() + 2) if workers > 1 and m >= 12 else m
+    processes = min(workers, os.cpu_count() or 1)
+    depth = min(m, workers.bit_length() + 2) if processes > 1 and m >= 12 else m
     total, nonzero, frontier = _walk(
         plan, _open(plan, {plan.base: (1, 1)}, 0, 1), depth)
     size = min(workers, len(frontier))
-    processes = min(workers, os.cpu_count() or 1)
-    if size <= 1 or processes <= 1:
+    if size <= 1:
         parts = [_walk(plan, frontier)]
     else:
         with worker_pool() as run:

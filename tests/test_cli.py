@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import multiprocessing
 
 import pytest
 
 from orbitconst import (GroupCase, NonIntegerQuotientError, build_root_system,
                         get_form, levi_data, real_forms)
+from orbitconst import cli, constants
 from orbitconst.cli import build_parser, main
 
 
@@ -217,6 +219,61 @@ def test_table_all_families_json(capsys):
         for form in entry["forms"]:
             assert set(form) >= {"index", "label", "h", "N", "cClosed",
                                  "formula"}
+
+
+def _count_set_up(monkeypatch):
+    """Calls of the root-system and Levi builders ``constants`` reads."""
+    calls = {"build_root_system": 0, "levi_data": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(constants, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(constants, name, counted)
+    return calls
+
+
+def test_a_command_sets_up_each_form_once(capsys, monkeypatch):
+    # each command is one run, so N is read from the form record its sums
+    # built, not from a second one built after the run
+    calls = _count_set_up(monkeypatch)
+    code, _, _ = run(capsys, "constant", "--group", "so-even", "--p", "3",
+                     "--q", "3", "--format", "json")
+    assert code == 0
+    assert calls == {"build_root_system": 1, "levi_data": 4}
+    calls = _count_set_up(monkeypatch)
+    code, _, _ = run(capsys, "table", "--format", "json")
+    assert code == 0
+    # one root system per default case, one Levi per form of them
+    assert calls == {"build_root_system": 5, "levi_data": 10}
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_command_starts_one_executor_and_shuts_it_down(capsys, monkeypatch,
+                                                         fails):
+    # SO_e(4,8) form 3 sums over 2^12 subsets, so two workers deal it
+    started = []
+
+    class Recording(constants.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def broken(case, form):
+        raise ValueError("on purpose")
+
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
+    if fails:
+        monkeypatch.setattr(cli, "_big_n", broken)
+    code, out, err = run(capsys, "constant", "--group", "so-even", "--p", "2",
+                         "--q", "4", "--form", "3", "--workers", "2",
+                         "--format", "json")
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+    if fails:
+        assert (code, out, err) == (2, "", "error: on purpose\n")
+    else:
+        assert code == 0 and json.loads(out)["forms"][0]["agree"] is True
 
 
 @pytest.mark.parametrize("command", ["table", "constant"])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitconst import (GroupCase, LambdaDegenerateError, OrthogonalityError,
+from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
+                        NonIntegerQuotientError, OrthogonalityError,
                         TermCapExceeded, alternating_sum, auto_sign_relation,
                         brute_force_sum, build_root_system, closed_form_expr,
                         constant_brute_force_orig, constant_brute_force_v2,
@@ -652,6 +653,16 @@ def test_zero_and_negative_seeds_repeat():
             lambda_candidates(case, 1, seed=seed)
 
 
+def test_a_non_integer_quotient_names_the_case_and_form():
+    case = GroupCase.sp(2)
+    form = get_form(case, 1)
+    ev = Evaluation(case, form, default_lambda(case, form), Fraction(1),
+                    Fraction(2), 1, 2)
+    with pytest.raises(NonIntegerQuotientError, match=re.escape(
+            "LHS / P_LK = 1/2 is not an integer for Sp(4,R) form 1")):
+        ev.constant
+
+
 def _is_shut_down(executor) -> bool:
     try:
         executor.submit(pow, 2, 10)
@@ -665,9 +676,8 @@ def test_worker_pool_is_reentrant_and_keeps_one_executor():
         with worker_pool():
             first = pool.get(2)
         assert pool.get(2) is first          # the inner exit kept it
-        second = pool.get(3)                 # another size replaces it
-        assert second is not first and _is_shut_down(first)
-    assert pool.executor is None and _is_shut_down(second)
+        assert pool.get(3) is first          # another size shares it
+    assert pool.executor is None and _is_shut_down(first)
 
 
 def test_worker_pool_shuts_down_on_an_exception():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,16 @@ def test_so_even_form1_and_form3_unique_survivor():
             if form.kind in (1, 3):
                 assert len(surviving_terms(case, form)) == 1
                 assert check_oracle_against_brute_force(case, form)
+
+
+@pytest.mark.parametrize("case, index", [
+    (GroupCase.so_odd(2, 2), 2), (GroupCase.so_even(2, 2), 4),
+    (GroupCase.sp(2), 1)])
+def test_predicted_unique_term_refuses_a_form_it_does_not_describe(case,
+                                                                   index):
+    with pytest.raises(ValueError, match=re.escape(
+            f"no term characterization for {case} form {index}")):
+        oracles.predicted_unique_term(case, index)
 
 
 def test_oracle_totals_reproduce_constants():

@@ -35,6 +35,14 @@ def test_h_from_partition_examples():
         h_from_partition("C", [3, 1])
 
 
+@pytest.mark.parametrize("lie_type, parts", [("B", (2,)), ("C", (3,))])
+def test_h_from_partition_refuses_a_size_of_the_wrong_parity(lie_type, parts):
+    parity = "odd" if lie_type == "B" else "even"
+    with pytest.raises(ValueError, match=f"^type {lie_type} partition must "
+                                         f"have {parity} size$"):
+        h_from_partition(lie_type, parts)
+
+
 def test_weighted_dynkin_examples():
     assert weighted_dynkin(GroupCase.sp(4), (1, 1, 1, 1)) == (0, 0, 0, 2)
     assert weighted_dynkin(GroupCase.su(2, 3), (1, 1, 0, -1, -1)) == (0, 1, 1, 0)
@@ -158,6 +166,11 @@ def test_orbit_partition_consistent_with_forms():
                 assert tuple(sorted(form.h, reverse=True)) == dom
             else:
                 assert tuple(sorted(map(abs, form.h), reverse=True)) == dom
+
+
+def test_signed_tableau_refuses_an_empty_row():
+    with pytest.raises(ValueError, match="^row lengths must be positive$"):
+        SignedTableau(((0, "+"),))
 
 
 def test_signed_tableau_validation():

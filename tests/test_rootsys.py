@@ -8,6 +8,11 @@ from orbitconst import (GroupCase, build_root_system, half_sum,
                         type_d_positive_roots)
 
 
+def test_an_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        GroupCase("bogus")
+
+
 def test_case_validation():
     with pytest.raises(ValueError):
         GroupCase.su(0, 3)

@@ -1,8 +1,10 @@
 """The package stays pure standard library: every module it imports is its
 own or ships with Python, every name a module imports is used there, every
 private module-level name is read somewhere in the package, no module
-memoizes with ``functools``' caches, one function refuses the term cap, and
-one function, ``constants._subset_sum``, walks the kernel (``_walk``)."""
+memoizes with ``functools``' caches, one function refuses the term cap,
+one function, ``constants._subset_sum``, walks the kernel (``_walk``), and
+one method, ``constants._Run.get``, constructs the run's
+``ProcessPoolExecutor``."""
 
 import ast
 import pathlib
@@ -145,3 +147,28 @@ def test_the_kernel_is_walked_in_one_place():
     readers = [(path.name, name) for path in SOURCES
                for name in _readers(_tree(path), "_walk")]
     assert readers == [("constants.py", "_subset_sum")]
+
+
+def _calls(tree, name):
+    """Functions of one source file that call ``name(...)``, by name or as
+    an attribute, each named with its enclosing classes, as ``_Run.get``;
+    "<module>" for a call outside them."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope += (node.name,)
+        elif isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            yield ".".join(scope) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    yield from visit(tree, ())
+
+
+def test_the_executor_is_constructed_in_one_place():
+    # a run starts at most one executor, and every pooled sum shares it; a
+    # second construction could start another beside it
+    starts = [(path.name, name) for path in SOURCES
+              for name in _calls(_tree(path), "ProcessPoolExecutor")]
+    assert starts == [("constants.py", "_Run.get")]

@@ -1,14 +1,16 @@
 """The memo a run keeps for its criteria, the forms they skip over the term
-cap, what criterion 7 enumerates, and the one executor a run shares."""
+cap, what criterion 7 enumerates, the one executor a run shares, and that
+each check of a criterion can fail, naming its witness."""
 
+import dataclasses
 import multiprocessing
 
 import pytest
 
 from orbitconst import constants, oracles, verify
-from orbitconst.constants import levi_data
-from orbitconst.orbits import real_forms
-from orbitconst.rootsys import build_root_system
+from orbitconst.constants import default_lambda, levi_data
+from orbitconst.orbits import get_form, real_forms
+from orbitconst.rootsys import GroupCase, build_root_system
 
 CAP = 16
 
@@ -172,3 +174,74 @@ def test_run_all_shares_one_executor_across_its_criteria(monkeypatch):
     assert len(started) == 1
     assert pooled["criteria"] == serial["criteria"]
     assert multiprocessing.active_children() == []
+
+
+def _failed(result) -> list:
+    assert result["passed"] is False
+    return result["details"]["failures"]
+
+
+def test_criterion_2_names_the_polynomial_that_fails(monkeypatch):
+    evaluate = verify.eval_dim_poly
+    monkeypatch.setattr(verify, "eval_dim_poly",
+                        lambda poly, lam: evaluate(poly, lam) + (len(lam) == 3))
+    assert _failed(verify.criterion_2()) == [("P1", 3), ("P2", 3)]
+
+
+def test_criterion_5_names_a_nonzero_sum(monkeypatch):
+    case = GroupCase.so_odd(1, 1)
+    form = get_form(case, 3)
+    lam = default_lambda(case, form)
+    evaluate = verify.cached_constant
+
+    def shifted(*key):
+        ev = evaluate(*key)
+        return (dataclasses.replace(ev, lhs=ev.lhs + 1)
+                if key[:3] == (case, form, lam) else ev)
+
+    monkeypatch.setattr(verify, "cached_constant", shifted)
+    assert _failed(verify.criterion_5(max_rank=2)) == [
+        (str(case), [str(x) for x in lam], "1")]
+
+
+@pytest.mark.parametrize("case, witness", [
+    (GroupCase.sp(2), "set mismatch"), (GroupCase.su(1, 1), "su oracle"),
+    (GroupCase.so_odd(1, 1), "unique survivor")])
+def test_criterion_7_names_an_oracle_mismatch(monkeypatch, case, witness):
+    check = oracles.check_oracle_against_brute_force
+
+    def refuse_one(c, form, survivors):
+        return (c, form.index) != (case, 1) and check(c, form, survivors)
+
+    monkeypatch.setattr(oracles, "check_oracle_against_brute_force",
+                        refuse_one)
+    assert _failed(verify.criterion_7(max_rank=2)) == [(str(case), 1, witness)]
+
+
+@pytest.mark.parametrize("change, witness", [
+    ({"value": -2}, "value not +-1"), ({"a_set": ()}, "#A != pq/2")])
+def test_criterion_7_names_a_survivor_off_the_shuffle(monkeypatch, change,
+                                                      witness):
+    # Sp(6,R) form 2 has one survivor, with value -1 and one root in A; the
+    # oracle is told to agree, so only the shuffle checks can catch it
+    case = GroupCase.sp(3)
+    enumerate_survivors = oracles.surviving_terms
+
+    def changed(c, form, *args, **kwargs):
+        terms = enumerate_survivors(c, form, *args, **kwargs)
+        if (c, form.index) != (case, 2):
+            return terms
+        return [dataclasses.replace(t, **change) for t in terms]
+
+    monkeypatch.setattr(oracles, "surviving_terms", changed)
+    monkeypatch.setattr(oracles, "check_oracle_against_brute_force",
+                        lambda c, form, survivors: True)
+    assert _failed(verify.criterion_7(max_rank=3)) == [(str(case), 2, witness)]
+
+
+def test_criterion_8_names_a_wrong_form_count(monkeypatch):
+    case = GroupCase.sp(2)
+    forms = verify.real_forms
+    monkeypatch.setattr(verify, "real_forms",
+                        lambda c: forms(c)[:-1] if c == case else forms(c))
+    assert _failed(verify.criterion_8(max_rank=2)) == [(str(case), 2, 3)]
