@@ -22,22 +22,23 @@ exact integer.  The sum over subsets is a dynamic program over partial sums:
 the pool roots are added one at a time to a map from each distinct partial
 weight vector to its signed and unsigned subset counts, so subsets with equal
 partial sums are merged.  Once a coordinate is final the states split into
-independent classes.  Each P_K factor is tested in one place: a factor whose
-coordinates are final before the last root is evaluated once per class, at
-the split where they become final, into the class's scale, and a class whose
-scale is 0 is dropped; the rest are grouped into blocks that share no
-coordinate (K = K_1 x K_2 gives two), and a state's product is the product of
-its block values, each memoized on the block's digits.  The walk is one
-loop over a stack of classes.  ``_subset_sum`` decides whether a sum is
-shared among worker processes: the first few roots are walked here and the
-classes reached there are dealt whole, scales included, to the workers, so
-each state is walked once.  The result is bit-identical for any worker
-count because every partial sum is an exact integer.  A ``worker_pool()``
-block is one run: it holds the one executor its pooled sums share, which
-the first of them starts and the outermost block shuts down, and one memo,
-which goes with the block: its evaluations, each form's record (root
-system, Levi data, P_{L&K}) and each case's P_K.  A sum outside any block
-opens one for itself, and outside a block nothing is memoized.
+independent classes.  The P_K factors are those ``weylpoly.make_dim_poly``
+packs, each tested in one place: a factor whose coordinates are final before
+the last root is evaluated once per class, at the split where they become
+final, into the class's scale, and a class whose scale is 0 is dropped; the
+rest are grouped into blocks that share no coordinate (K = K_1 x K_2 gives
+two), and a state's product is the product of its block values, each
+memoized on the block's digits.  The walk is one loop over a stack of
+classes.  ``_subset_sum`` decides whether a sum is shared among worker
+processes: the first few roots are walked here and the classes reached there
+are dealt whole, scales included, to the workers, so each state is walked
+once.  The result is bit-identical for any worker count because every
+partial sum is an exact integer.  A ``worker_pool()`` block is one run: it
+holds the one executor its pooled sums share, which the first of them starts
+and the outermost block shuts down, and one memo, which goes with the block:
+its evaluations, each form's record (root system, Levi data, P_{L&K}) and
+each case's P_K.  A sum outside any block opens one for itself, and outside a
+block nothing is memoized.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .orbits import RealForm, get_form
+from .orbits import RealForm, flip_source, get_form
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
                       flip, half_sum, pair)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly
@@ -156,17 +157,6 @@ def rho_n_orthogonal(levi: LeviData) -> bool:
 
 # ---------------------------------------------------------------------------
 # scaled-integer enumeration core
-
-
-def _pack_roots(roots: Sequence[Root]) -> tuple[tuple[int, int, int, int], ...]:
-    """Compress roots (at most two nonzero entries) to (i, ci, j, cj); a root
-    on one coordinate i is (i, ci, i, 0)."""
-    packed = []
-    for r in roots:
-        (i, ci), *rest = [(i, c) for i, c in enumerate(r) if c]
-        j, cj = rest[0] if rest else (i, 0)
-        packed.append((i, ci, j, cj))
-    return tuple(packed)
 
 
 class _Plan(NamedTuple):
@@ -481,15 +471,10 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     else:
         deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
-    packed, pk_norm = _in_run(("P_K", rs.case), lambda: _compact_factors(rs))
-    pk_denominator = Fraction(scale) ** len(packed) * pk_norm
-    return tuple(base), tuple(deltas), packed, pk_denominator
-
-
-def _compact_factors(rs: RootSystem) -> tuple[tuple, Fraction]:
-    """P_K's factors, packed, and the product of its denominators."""
-    pk = make_dim_poly(rs.compact_positive, rs.case.rank)
-    return _pack_roots(pk.roots), math.prod(pk.denominators, start=Fraction(1))
+    pk = _in_run(("P_K", rs.case),
+                 lambda: make_dim_poly(rs.compact_positive, rs.case.rank))
+    pk_denominator = Fraction(scale) ** len(pk.factors) * pk.norm
+    return tuple(base), tuple(deltas), pk.factors, pk_denominator
 
 
 def _check_positive(name: str, value) -> None:
@@ -581,8 +566,8 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
     Each family and form has one formula, valid at the boundaries too
     (p = 1, q = p - 1, k = 0 or n - 1), where its empty ranges drop out.
     sp and so-star with n even share theirs.  The II-variant forms (so-odd
-    form 2, so-even forms 2 and 4) take the coordinate-flipped lambda_0 of
-    their partner form, matching the automorphism that relates the two Levis.
+    form 2, so-even forms 2 and 4) take the lambda_0 of their
+    ``flip_source`` form, flipped as the form's h is.
     """
     form = get_form(case, form)
     p, q, n, k = case.p, case.q, case.n, form.kind
@@ -599,10 +584,8 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
         return _as_weight([n - i for i in range(k)] + [k + 1]
                           + [n - 1 - i for i in range(n - 1 - k)])
     # so-odd and so-even
-    if k == 2:
-        return flip(default_lambda(case, 1), p - 1)
-    if k == 4:
-        return flip(default_lambda(case, 3), case.rank - 1)
+    if (source := flip_source(case, k)) is not None:
+        return flip(default_lambda(case, source[0]), source[1])
     if case.family == "so-odd" and k == 1:
         return _as_weight([H] + [q + H - i for i in range(p - 1)]
                           + [-1 - i for i in range(p - 1)]

@@ -205,6 +205,15 @@ def _tableau_bd(family: str, p: int, q: int, form: int) -> SignedTableau:
     return SignedTableau(tuple(rows))
 
 
+def flip_source(case: GroupCase, kind: int) -> tuple[int, int] | None:
+    """(kind, coordinate) of the form whose flip is form ``kind``, or None:
+    so-odd and so-even form II flips form I at coordinate p-1, form IV flips
+    form III at the last coordinate."""
+    if case.family not in ("so-odd", "so-even") or kind not in (2, 4):
+        return None
+    return (1, case.p - 1) if kind == 2 else (3, case.rank - 1)
+
+
 def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
     """Real forms of the case's orbit, in canonical order."""
     p, q, n = case.p, case.q, case.n
@@ -228,24 +237,20 @@ def real_forms(case: GroupCase) -> tuple[RealForm, ...]:
             else:
                 h = [1] * k + [0] + [-1] * (n - 1 - k)
             add(f"p={k}", k, h, "always", _tableau_so_star(n, k))
-    elif case.family == "so-odd":
-        h1 = [2] + [1] * (p - 1) + [1] * (p - 1) + [0] * (q - p + 1)
-        add("I", 1, h1, "always", _tableau_bd("so-odd", p, q, 1))
-        add("II", 2, flip(h1, p - 1), "always", _tableau_bd("so-odd", p, q, 2))
-        if q >= p:
-            h3 = [1] * (p - 1) + [0] + [2] + [1] * (p - 1) + [0] * (q - p)
-            add("III", 3, h3, "q >= p", _tableau_bd("so-odd", p, q, 3))
-    else:  # so-even
-        h1 = [2] + [1] * (p - 1) + [1] * (p - 1) + [0] * (q - p + 1)
-        add("I", 1, h1, "always", _tableau_bd("so-even", p, q, 1))
-        if p >= 2:
-            add("II", 2, flip(h1, p - 1), "p >= 2",
-                _tableau_bd("so-even", p, q, 2))
-        h3 = [1] * (p - 1) + [0] + [2] + [1] * (p - 1) + [0] * (q - p)
-        add("III", 3, h3, "always", _tableau_bd("so-even", p, q, 3))
-        if q == p and p >= 2:
-            add("IV", 4, flip(h3, case.rank - 1), "q == p >= 2",
-                _tableau_bd("so-even", p, q, 4))
+    else:  # so-odd and so-even; forms II and IV are flips of I and III
+        odd = case.family == "so-odd"
+        h = {1: [2] + [1] * (p - 1) + [1] * (p - 1) + [0] * (q - p + 1),
+             3: [1] * (p - 1) + [0] + [2] + [1] * (p - 1) + [0] * (q - p)}
+        for kind, label, cond, exists in (
+                (1, "I", "always", True),
+                (2, "II", "always" if odd else "p >= 2", odd or p >= 2),
+                (3, "III", "q >= p" if odd else "always", not odd or q >= p),
+                (4, "IV", "q == p >= 2", not odd and q == p >= 2)):
+            if (source := flip_source(case, kind)) is not None:
+                h[kind] = flip(h[source[0]], source[1])
+            if exists:
+                add(label, kind, h[kind], cond,
+                    _tableau_bd(case.family, p, q, kind))
     return tuple(forms)
 
 

@@ -158,8 +158,8 @@ def negate(r: Root) -> Root:
 
 
 def flip(vec: Sequence, i: int) -> tuple:
-    """``vec`` with coordinate ``i`` negated: on so-odd and so-even, the outer
-    automorphism carrying form I to II (i = p-1) and III to IV (i = rank-1)."""
+    """``vec`` with coordinate ``i`` negated: the outer automorphism that
+    pairs so-odd and so-even forms, at the coordinate ``flip_source`` names."""
     out = list(vec)
     out[i] = -out[i]
     return tuple(out)
@@ -191,10 +191,15 @@ def pair(w: Sequence, r: Sequence) -> Fraction:
     """
     if len(w) != len(r):
         raise ValueError(f"length mismatch: {len(w)} vs {len(r)}")
+    v, den = _integral(w)
+    return Fraction(sum(a * b for a, b in zip(v, r)), den)
+
+
+def _integral(w: Sequence) -> tuple[list[int], int]:
+    """(den * w, den) with den the lcm of the denominators of w's entries."""
     w = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in w]
     den = math.lcm(*(a.denominator for a in w))
-    return Fraction(sum(a.numerator * (den // a.denominator) * b
-                        for a, b in zip(w, r))) / den
+    return [a.numerator * (den // a.denominator) for a in w], den
 
 
 def half_sum(roots: Iterable[Sequence[int]], rank: int) -> Weight:

@@ -24,7 +24,7 @@ from .constants import (DEFAULT_TERM_CAP, OrthogonalityError,
                         TermCapExceeded, auto_sign_relation,
                         constant_closed_form, default_lambda,
                         lambda_candidates)
-from .orbits import real_forms
+from .orbits import flip_source, real_forms
 from .rootsys import GroupCase, type_b_positive_roots, type_d_positive_roots
 from .weylpoly import eval_dim_poly, make_dim_poly
 
@@ -185,30 +185,24 @@ def criterion_5(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
 
 
 def criterion_6(*, max_rank=None) -> dict:
-    """Automorphism sign relations between paired forms.
-
-    Forms I and II of every so-odd case are related by flipping coordinate
-    p-1 with sign -1, and of every so-even case that has a form II with sign
-    +1; so-even forms III and IV, where both exist, by flipping the last
-    coordinate with sign +1.
+    """Automorphism sign relations between the forms ``flip_source`` pairs:
+    so-odd forms I and II with sign -1, and every so-even pair (I and II,
+    III and IV, where both exist) with sign +1.
     """
     bad = []
-
-    def check(case, f1, f2, coord, expected):
-        sign = auto_sign_relation(case, coord, f1, f2)
-        c1 = constant_closed_form(case, f1)
-        c2 = constant_closed_form(case, f2)
-        if sign != expected or sign * c1 != c2:
-            bad.append((str(case), f1.index, f2.index, sign, expected, c1, c2))
-
     for case in acceptance_cases(max_rank):
         kinds = {f.kind: f for f in real_forms(case)}
-        if case.family == "so-odd":
-            check(case, kinds[1], kinds[2], case.p - 1, -1)
-        elif case.family == "so-even" and 2 in kinds:
-            check(case, kinds[1], kinds[2], case.p - 1, +1)
-            if 4 in kinds:
-                check(case, kinds[3], kinds[4], case.rank - 1, +1)
+        for f2 in kinds.values():
+            if (source := flip_source(case, f2.kind)) is None:
+                continue
+            f1, coord = kinds[source[0]], source[1]
+            expected = -1 if case.family == "so-odd" else +1
+            sign = auto_sign_relation(case, coord, f1, f2)
+            c1 = constant_closed_form(case, f1)
+            c2 = constant_closed_form(case, f2)
+            if sign != expected or sign * c1 != c2:
+                bad.append((str(case), f1.index, f2.index, sign, expected,
+                            c1, c2))
     return {"id": 6, "name": "automorphism sign relations between paired forms",
             "passed": not bad, "details": {"failures": bad}}
 

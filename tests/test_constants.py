@@ -20,10 +20,11 @@ from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
                         rho_n_orthogonal)
 from orbitconst import constants, oracles
 from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _constant,
-                                  _form_data, _open, _pack_roots, _plan,
+                                  _form_data, _open, _plan,
                                   _prepare_enumeration, _subset_sum, _walk,
                                   worker_pool)
 from orbitconst.verify import acceptance_cases
+from orbitconst.weylpoly import _pack_roots
 
 
 def _levi(case, index):

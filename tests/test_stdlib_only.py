@@ -2,9 +2,10 @@
 own or ships with Python, every name a module imports is used there, every
 private module-level name is read somewhere in the package, no module
 memoizes with ``functools``' caches, one function refuses the term cap,
-one function, ``constants._subset_sum``, walks the kernel (``_walk``), and
+one function, ``constants._subset_sum``, walks the kernel (``_walk``),
 one method, ``constants._Run.get``, constructs the run's
-``ProcessPoolExecutor``."""
+``ProcessPoolExecutor``, and one function, ``weylpoly.make_dim_poly``,
+packs roots into factors (``_pack_roots``)."""
 
 import ast
 import pathlib
@@ -172,3 +173,11 @@ def test_the_executor_is_constructed_in_one_place():
     starts = [(path.name, name) for path in SOURCES
               for name in _calls(_tree(path), "ProcessPoolExecutor")]
     assert starts == [("constants.py", "_Run.get")]
+
+
+def test_roots_are_packed_in_one_place():
+    # a dimension polynomial carries its packed factors, and the kernel and
+    # the evaluation read them from it; a second packing could drift
+    packs = [(path.name, name) for path in SOURCES
+             for name in _calls(_tree(path), "_pack_roots")]
+    assert packs == [("weylpoly.py", "make_dim_poly")]

@@ -245,3 +245,33 @@ def test_criterion_8_names_a_wrong_form_count(monkeypatch):
     monkeypatch.setattr(verify, "real_forms",
                         lambda c: forms(c)[:-1] if c == case else forms(c))
     assert _failed(verify.criterion_8(max_rank=2)) == [(str(case), 2, 3)]
+
+
+def test_criterion_6_checks_the_flip_pairs_and_their_signs(monkeypatch):
+    # spelled out here, apart from orbits.flip_source: so-odd I/II at p-1
+    # with sign -1, so-even I/II at p-1 and III/IV at the last coordinate
+    # with sign +1, wherever both forms exist
+    expected = []
+    for case in verify.acceptance_cases():
+        kinds = {f.kind for f in real_forms(case)}
+        if case.family in ("so-odd", "so-even") and 2 in kinds:
+            sign = -1 if case.family == "so-odd" else +1
+            expected.append((str(case), 1, 2, case.p - 1, sign))
+        if case.family == "so-even" and 4 in kinds:
+            expected.append((str(case), 3, 4, case.rank - 1, +1))
+    seen = []
+    relate = verify.auto_sign_relation
+
+    def recorded(case, coord, form1, form2):
+        seen.append((str(case), form1.kind, form2.kind, coord))
+        return relate(case, coord, form1, form2)
+
+    monkeypatch.setattr(verify, "auto_sign_relation", recorded)
+    assert verify.criterion_6()["passed"]
+    assert seen == [pair[:4] for pair in expected] and len(seen) == 19
+    # a sign of +1 everywhere is wrong exactly on the pairs expecting -1
+    monkeypatch.setattr(verify, "auto_sign_relation",
+                        lambda case, coord, form1, form2: +1)
+    failures = verify.criterion_6()["details"]["failures"]
+    assert [f[:5] for f in failures] == [
+        (case, 1, 2, +1, -1) for case, _, _, _, sign in expected if sign < 0]

@@ -1,13 +1,16 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from orbitconst import (GroupCase, build_root_system, eval_dim_poly,
-                        make_dim_poly, pair, type_a_positive_roots,
-                        type_b_positive_roots, type_d_positive_roots)
+                        half_sum, levi_data, make_dim_poly, pair, real_forms,
+                        type_a_positive_roots, type_b_positive_roots,
+                        type_d_positive_roots)
 from orbitconst.verify import acceptance_cases
 
 
@@ -32,6 +35,13 @@ def test_single_factor_sp2():
 def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
         make_dim_poly([(1, -1), (-1, 1)], 2)
+
+
+@pytest.mark.parametrize("root", [(1, 1, 1), (0, 0, 0)])
+def test_a_root_that_packs_into_no_factor_is_rejected(root):
+    # (1, 1, 1) has a nonzero denominator 3/2, so only the packing sees it
+    with pytest.raises(ValueError, match=re.escape(f"root {root} has")):
+        make_dim_poly([(1, 0, -1), root], 3)
 
 
 def test_value_one_at_rho_prime():
@@ -140,3 +150,39 @@ def test_compact_poly_is_skew_under_compact_reflections(data):
     coeff = 2 * pair(lam, alpha) / pair(alpha, alpha)
     reflected = tuple(x - coeff * a for x, a in zip(lam, alpha))
     assert eval_dim_poly(poly, reflected) == -eval_dim_poly(poly, lam)
+
+
+# every acceptance case's compact positive roots and each form's compact
+# Levi roots, with their rank, each list once
+_ROOT_LISTS = list(dict.fromkeys(
+    (roots, rs.case.rank) for rs in map(build_root_system, acceptance_cases())
+    for roots in [rs.compact_positive] + [
+        levi_data(rs, form.h).delta_lk_plus for form in real_forms(rs.case)]))
+
+
+_ENTRIES = sum(rank for _, rank in _ROOT_LISTS)
+
+
+# no shrinking: it takes minutes on lists this long, and any failing example
+# is a witness
+@settings(deadline=None, max_examples=20,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.lists(st.integers(-12, 12), min_size=_ENTRIES, max_size=_ENTRIES),
+       st.lists(st.integers(-99, 99), min_size=len(_ROOT_LISTS),
+                max_size=len(_ROOT_LISTS)))
+def test_eval_equals_the_product_of_pairings(entries, walls):
+    # the definition, one pairing and one division per root, at weights in
+    # (1/2)Z; where its wall is not negative, a list's weight is moved onto
+    # the wall of one of its roots, so that factor is 0
+    entries = iter(entries)
+    for (roots, rank), wall in zip(_ROOT_LISTS, walls):
+        w = [Fraction(next(entries), 2) for _ in range(rank)]
+        if roots and wall >= 0:
+            alpha = roots[wall % len(roots)]
+            *rest, last = [i for i, c in enumerate(alpha) if c]
+            w[last] = -sum(alpha[i] * w[i] for i in rest) / alpha[last]
+            assert pair(w, alpha) == 0
+        rho = half_sum(roots, rank)
+        expected = math.prod((pair(w, a) / pair(rho, a) for a in roots),
+                             start=Fraction(1))
+        assert eval_dim_poly(make_dim_poly(roots, rank), w) == expected
