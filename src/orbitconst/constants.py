@@ -18,27 +18,22 @@ equivalent second form drops the rho_n shift:
 
 Evaluation is exact: weights are scaled to integer vectors, each subset term
 is an integer product, and the single division at the end is checked to be an
-exact integer.  The sum over subsets is a dynamic program over partial sums:
-the pool roots are added one at a time to a map from each distinct partial
-weight vector to its signed and unsigned subset counts, so subsets with equal
-partial sums are merged.  Once a coordinate is final the states split into
-independent classes.  The P_K factors are those ``weylpoly.make_dim_poly``
-packs, each tested in one place: a factor whose coordinates are final before
-the last root is evaluated once per class, at the split where they become
-final, into the class's scale, and a class whose scale is 0 is dropped; the
-rest are grouped into blocks that share no coordinate (K = K_1 x K_2 gives
-two), and a state's product is the product of its block values, each
-memoized on the block's digits.  The walk is one loop over a stack of
-classes.  ``_subset_sum`` decides whether a sum is shared among worker
-processes: the first few roots are walked here and the classes reached there
-are dealt whole, scales included, to the workers, so each state is walked
-once.  The result is bit-identical for any worker count because every
-partial sum is an exact integer.  A ``worker_pool()`` block is one run: it
-holds the one executor its pooled sums share, which the first of them starts
-and the outermost block shuts down, and one memo, which goes with the block:
-its evaluations, each form's record (root system, Levi data, P_{L&K}) and
-each case's P_K.  A sum outside any block opens one for itself, and outside a
-block nothing is memoized.
+exact integer.  The sum over subsets is a dynamic program over partial sums
+(``_walk``): subsets with equal partial weight vectors merge into signed and
+unsigned counts, states split into independent classes once a coordinate is
+final, and each P_K factor ``weylpoly.make_dim_poly`` packs is tested in one
+place: per class where it finishes early (a zero drops the class), else per
+block of factors that share no coordinate, memoized on its digits (``_Plan``).
+Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
+roots here and deals the classes reached, scales included, so each state is
+walked once; ``verify`` deals a criterion's whole sums, each walked
+serially, and ``alternating_sum`` takes each total, once, from the run.
+Every part is an exact integer, so results are bit-identical for any worker
+count.  A ``worker_pool()`` block is one run: it holds the one executor its
+pooled work shares, which the outermost block shuts down, and one memo that
+goes with it: its evaluations, each form's record (root system, Levi data,
+P_{L&K}) and each case's P_K.  A forked worker is in no run.  A sum outside
+any block opens one, and outside one nothing is memoized.
 """
 
 from __future__ import annotations
@@ -130,22 +125,18 @@ class Evaluation:
         return int(c)
 
 
-def _value_on_h(root: Root, h: Sequence[int]) -> int:
-    return sum(c * x for c, x in zip(root, h))
-
-
 def levi_data(rs: RootSystem, h: Sequence[int]) -> LeviData:
     """Classify every root of ``rs`` against h, which must have its rank."""
     if len(h) != rs.case.rank:
         raise ValueError(f"h has length {len(h)} but {rs.case} has rank "
                          f"{rs.case.rank}")
     compact = rs.compact_set()
-    delta_n = tuple(a for a in rs.noncompact_positive if _value_on_h(a, h) == 0)
+    on_h = {a: sum(c * x for c, x in zip(a, h)) for a in rs.all_roots()}
+    delta_n = tuple(a for a in rs.noncompact_positive if on_h[a] == 0)
     delta_p1 = tuple(sorted(
-        a for a in rs.all_roots()
-        if a not in compact and _value_on_h(a, h) == 1))
-    delta_lk = tuple(a for a in rs.compact_positive if _value_on_h(a, h) == 0)
-    big_n = sum(1 for a in rs.positive if _value_on_h(a, h) > 0)
+        a for a in on_h if a not in compact and on_h[a] == 1))
+    delta_lk = tuple(a for a in rs.compact_positive if on_h[a] == 0)
+    big_n = sum(1 for a in rs.positive if on_h[a] > 0)
     return LeviData(delta_n, delta_p1, delta_lk,
                     half_sum(delta_n, rs.case.rank), big_n)
 
@@ -203,7 +194,7 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     mask = (1 << width) - 1
     remaining, order = list(range(m)), []
     while remaining:
-        touching: dict[int, list[int]] = {}
+        touching = {}
         for t in remaining:
             for i, d in enumerate(deltas[t]):
                 if d:
@@ -215,7 +206,7 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     done = [1 + max((pos for pos, t in enumerate(order) if deltas[t][i]),
                     default=-1) for i in range(rank)]
     splits = tuple(0 < pos < m and pos in done for pos in range(m + 1))
-    finish: list[list] = [[] for _ in range(m + 1)]
+    finish = [[] for _ in range(m + 1)]
     live = []
     for (i, ci, j, cj) in packed:
         if ci * base[i] + cj * base[j] == 0 and not any(
@@ -239,7 +230,7 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     Returns (digit mask, tests) pairs: a block's factors read only the digits
     under its mask.
     """
-    blocks: list[tuple[int, tuple]] = []
+    blocks = []
     for test in tests:
         digits, members = mask << test[0] | mask << test[2], (test,)
         for block in [b for b in blocks if b[0] & digits]:
@@ -285,13 +276,11 @@ def _walk(plan: _Plan, stack: list,
     states' block products to the total, each block value memoized on its
     digits for this call; a state with a zero block is not a nonzero term.
     Returns (total, nonzero-term count, frontier): the frontier holds the
-    classes that stop short of the last root, so it is empty when ``stop``
-    is the last root.
+    classes that stop short of the last root.
     """
     steps, splits, mask = plan.steps, plan.splits, plan.mask
     m = len(steps)
-    if stop is None:
-        stop = m
+    stop = m if stop is None else stop
     blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
     total = nonzero = 0
     frontier = []
@@ -334,38 +323,34 @@ def _walk(plan: _Plan, stack: list,
 
 
 class _Run:
-    """The context of one run: the executor its pooled sums share and the
-    memo that ``_in_run`` fills: evaluations, form records and P_K."""
+    """One run: the executor its pooled work shares, the memo ``_in_run``
+    fills, and the pre-walked sums, each (total, nonzero), that
+    ``alternating_sum`` takes once each."""
 
     def __init__(self):
         self.executor = None
         self.memo = {}
+        self.walked = {}
 
     def get(self, size: int) -> ProcessPoolExecutor:
-        """The first sum that pools starts the executor, with ``size``
-        processes, and every later sum of the run shares it."""
+        """The executor, started with ``size`` processes by the run's first
+        pooled work; all later work of the run shares it."""
         if self.executor is None:
             self.executor = ProcessPoolExecutor(max_workers=size)
         return self.executor
 
-    def shutdown(self) -> None:
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-
 
 _open_run: ContextVar[_Run | None] = ContextVar("run", default=None)
+if hasattr(os, "register_at_fork"):  # a pool worker starts in no run
+    os.register_at_fork(after_in_child=lambda: _open_run.set(None))
 
 
 @contextmanager
 def worker_pool() -> Iterator[_Run]:
-    """A block that is one run: its pooled sums share one executor and its
-    evaluations one memo.  Each CLI command is one run.
-
+    """A block that is one run (``_Run``); each CLI command is one.
     Entering a block while one is open in the same thread joins it; the
     outermost block shuts the executor down when it exits, also on an
-    exception, and drops the memo with the run.
-    """
+    exception, and drops the memo with the run."""
     run = _open_run.get()
     if run is not None:
         yield run
@@ -376,7 +361,9 @@ def worker_pool() -> Iterator[_Run]:
         yield run
     finally:
         _open_run.reset(token)
-        run.shutdown()
+        executor, run.executor = run.executor, None
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
 
 def _in_run(key, compute):
@@ -411,30 +398,30 @@ def _form_data(case: GroupCase, form: RealForm | int) -> _FormData:
     return _in_run(("form", case, form), build)
 
 
+def _processes(workers):
+    """The processes pooled work at ``workers`` is dealt to."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
                 packed: Sequence[tuple[int, int, int, int]],
                 workers: int = 1) -> tuple[int, int]:
     """Sum over subsets S of the pool of (-1)^#S times the product of the
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
-    The one place a sum is split.  With min(workers, CPUs) processes, a sum
-    of at least 2^12 subsets is dealt when that is more than one: it walks
-    min(m, workers.bit_length() + 2) of its m roots here, deals the frontier
+    The one place a sum is split.  A sum of at least 2^12 subsets is dealt
+    when ``_processes(workers)`` is more than one: it walks min(m,
+    workers.bit_length() + 2) of its m roots here and deals the frontier
     classes, scales included, whole and round-robin into min(workers,
-    classes) chunks, and walks each chunk to the end, so every state is
-    walked once.  The chunk count follows ``workers`` alone; the chunks go
-    to the executor of the open ``worker_pool`` block, which the run's first
-    dealt sum starts with its process count (outside any block the sum opens
-    one of its own).  Any other sum, and a frontier of one class, is walked
-    here, without a pool.  Every part is an exact integer, so the result is
-    the same for any worker count.
+    classes) chunks to the run's executor, so every state is walked once.
+    Any other sum, and a frontier of one class, is walked here.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
         return 0, 0
     m = len(deltas)
-    processes = min(workers, os.cpu_count() or 1)
-    depth = min(m, workers.bit_length() + 2) if processes > 1 and m >= 12 else m
+    processes = _processes(workers) if m >= 12 else 1
+    depth = min(m, workers.bit_length() + 2) if processes > 1 else m
     total, nonzero, frontier = _walk(
         plan, _open(plan, {plan.base: (1, 1)}, 0, 1), depth)
     size = min(workers, len(frontier))
@@ -490,10 +477,11 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
                     workers: int = 1) -> tuple[Fraction, int, int]:
     """Left-hand side of the defining equation at ``lam``.
 
-    Returns (LHS value, number of nonzero terms, total term count).
-    ``workers`` splits the sum as ``_subset_sum`` decides.  v2 raises
-    ``OrthogonalityError``, before the term-cap check, unless rho_n(l) is
-    orthogonal to the compact Levi roots.
+    Returns (LHS value, number of nonzero terms, total term count).  v2
+    raises ``OrthogonalityError``, before the term-cap check, unless
+    rho_n(l) is orthogonal to the compact Levi roots.  A sum a batch walked
+    is taken from the run, keyed on what fixes it: its walk's inputs and
+    ``workers``; else ``workers`` splits it as ``_subset_sum`` decides.
     """
     _check_positive("workers", workers)
     _check_positive("term_cap", term_cap)
@@ -502,11 +490,11 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
             "rho_n(l) is not orthogonal to the compact Levi roots")
     base, deltas, packed, pk_denominator = _prepare_enumeration(
         rs, levi, lam, variant, term_cap)
-    total, nonzero = _subset_sum(base, deltas, packed, workers)
-    exponent = levi.big_n
-    if variant == "v2":
-        exponent += len(levi.delta_n_plus_l)
-    signed = total if exponent % 2 == 0 else -total
+    run = _open_run.get()
+    walked = run and run.walked.pop((base, deltas, packed, workers), None)
+    total, nonzero = walked or _subset_sum(base, deltas, packed, workers)
+    exponent = levi.big_n + (len(levi.delta_n_plus_l) if variant == "v2" else 0)
+    signed = -total if exponent % 2 else total
     return Fraction(signed) / pk_denominator, nonzero, 1 << len(deltas)
 
 
@@ -569,8 +557,7 @@ def default_lambda(case: GroupCase, form: RealForm | int) -> Weight:
     form 2, so-even forms 2 and 4) take the lambda_0 of their
     ``flip_source`` form, flipped as the form's h is.
     """
-    form = get_form(case, form)
-    p, q, n, k = case.p, case.q, case.n, form.kind
+    p, q, n, k = case.p, case.q, case.n, get_form(case, form).kind
     H = Fraction(1, 2)
     if case.family == "su":
         left = [q - i for i in range(k)] + [p - i for i in range(p - k)]
@@ -620,22 +607,16 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
         raise LambdaDegenerateError(f"lambda_0 is degenerate for {case}")
     chosen = [lam0]
     rng = random.Random(seed)
-    rank = case.rank
     attempts = 0
     while len(chosen) < count:
         attempts += 1
         if attempts > 500:
             raise LambdaDegenerateError(
                 f"could not find {count} non-degenerate lambdas for {case}")
-        shift = [0] * rank
-        for i in range(rank):
-            m = rng.randint(0, 3)
-            for j in range(i + 1):
-                shift[j] += m
-        lam = tuple(x + s for x, s in zip(lam0, shift))
-        if lam in chosen:
-            continue
-        if eval_dim_poly(plk, lam) != 0:
+        # draws[i] times (1,..,1,0,..,0), with i + 1 ones, summed over i
+        draws = [rng.randint(0, 3) for _ in range(case.rank)]
+        lam = tuple(x + sum(draws[j:]) for j, x in enumerate(lam0))
+        if lam not in chosen and eval_dim_poly(plk, lam) != 0:
             chosen.append(lam)
     return chosen
 
@@ -650,9 +631,7 @@ def _closed_form_spec(case: GroupCase, form: RealForm | int):
     The magnitude is a pair (a, b) for the binomial C(a, b), or an int k for
     2^k.  Both renderings below read this one spec.
     """
-    form = get_form(case, form)
-    p, q, n = case.p, case.q, case.n
-    k = form.kind
+    p, q, n, k = case.p, case.q, case.n, get_form(case, form).kind
     if case.family == "su":
         return k * (p + q - k), (p, k)
     if case.family in ("sp", "so-star"):

@@ -12,6 +12,15 @@ Evaluations go through ``cached_constant``, memoized on every argument of
 the pipeline in the run, the open ``constants.worker_pool()`` block, which
 also holds each form's record (root system, Levi data, P_{L&K}) and each
 case's P_K: the criteria of one run share them, each run computes its own.
+
+Pooled work is dealt in two ways.  A single sum deals its classes
+(``constants._subset_sum``).  Criteria 3 and 4 first collect the
+evaluations they will make, and ``_prewalk`` deals the sums among them that
+the run has not evaluated to the run's executor whole, largest pool first;
+each pre-walked total waits in the run until its evaluation takes it, once,
+so every evaluation still goes through ``cached_constant``.  Criterion 1
+stays one evaluation at a time: its sums at lambda_0 are few and pruned,
+and criteria 3 and 4 read them from the memo.
 """
 
 from __future__ import annotations
@@ -34,6 +43,58 @@ def cached_constant(case, form, lam, variant, term_cap, workers):
     outside one nothing is kept."""
     key = (case, form, lam, variant, term_cap, workers)
     return constants._in_run(key, lambda: constants._constant(*key))
+
+
+# Chunks per process in a batch: workers take the next chunk as they finish.
+_CHUNKS_PER_PROCESS = 8
+
+
+def _prewalk(evaluations, term_cap, workers) -> None:
+    """Walk, as one batch on the run's executor, the sums of ``evaluations``
+    ((case, form, lam, variant) each) that the open run has not evaluated.
+
+    The sums go whole, largest pool first, round-robin into
+    ``_CHUNKS_PER_PROCESS`` chunks per process, and ``_walk_sums`` walks
+    each serially.  Each total waits in the run's ``walked``, keyed on what
+    fixes the sum (its walk's inputs and ``workers``), until
+    ``alternating_sum`` takes it, once.  A sum whose set-up raises
+    (``TermCapExceeded``, or v2's ``OrthogonalityError``) is left out, so
+    its evaluation raises as it would have.  Outside a run, or at one
+    process, nothing is walked here.
+    """
+    constants._check_positive("workers", workers)
+    run = constants._open_run.get()
+    processes = constants._processes(workers)
+    if run is None or processes == 1:
+        return
+    keys, shared = {}, {}
+    for case, form, lam, variant in evaluations:
+        if (case, form, lam, variant, term_cap, workers) in run.memo:
+            continue
+        data = constants._form_data(case, form)
+        if variant == "v2" and not constants.rho_n_orthogonal(data.levi):
+            continue
+        try:
+            base, deltas, packed, _ = constants._prepare_enumeration(
+                data.rs, data.levi, lam, variant, term_cap)
+        except TermCapExceeded:
+            continue
+        # the lambdas of one form at one scale share their deltas: keep one
+        keys[base, shared.setdefault(deltas, deltas), packed, workers] = None
+    keys = sorted(keys, key=lambda key: len(key[1]), reverse=True)
+    size = min(len(keys), _CHUNKS_PER_PROCESS * processes)
+    deal = [keys[c::size] for c in range(size)]
+    if deal:
+        chunks = run.get(processes).map(_walk_sums, deal)
+        for chunk, walked in zip(deal, chunks):
+            run.walked.update(zip(chunk, walked))
+
+
+def _walk_sums(keys):
+    """One chunk of a batch: each sum, by its key, walked serially by
+    ``constants._subset_sum``, in this process."""
+    return [constants._subset_sum(base, deltas, packed)
+            for base, deltas, packed, _ in keys]
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
@@ -115,31 +176,41 @@ def criterion_2() -> dict:
             "passed": not bad, "details": {"failures": bad}}
 
 
-def _over_forms(check, cases, forms) -> dict:
-    """``check(case, form)``'s failures over the forms ``forms(case)`` of
-    ``cases``; a form over the term cap is listed under ``skipped``, which
+def _forms(cases, keep=lambda case, form: True) -> list:
+    """The (case, form) pairs of ``cases`` that ``keep``, in order."""
+    return [(case, form) for case in cases for form in real_forms(case)
+            if keep(case, form)]
+
+
+def _over_forms(check, forms) -> dict:
+    """``check(case, form)``'s failures over the (case, form) pairs
+    ``forms``; a form over the term cap is listed under ``skipped``, which
     appears only when some form is."""
     failures, skipped = [], []
-    for case in cases:
-        for form in forms(case):
-            try:
-                failures += check(case, form)
-            except TermCapExceeded:
-                skipped.append(f"{case} form {form.index}")
+    for case, form in forms:
+        try:
+            failures += check(case, form)
+        except TermCapExceeded:
+            skipped.append(f"{case} form {form.index}")
     return {"failures": failures, **({"skipped": skipped} if skipped else {})}
 
 
 def criterion_3(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 seed=0) -> dict:
     """Three distinct evaluation points give one and the same integer."""
+    lams = {(case, form): lambda_candidates(case, form, count=3, seed=seed)
+            for case, form in _forms(acceptance_cases(max_rank))}
+    _prewalk([(case, form, lam, "orig") for (case, form), some in lams.items()
+              for lam in some], term_cap, workers)
+
     def check(case, form):
         values = {cached_constant(case, form, lam, "orig", term_cap,
                                   workers).constant
-                  for lam in lambda_candidates(case, form, count=3, seed=seed)}
+                  for lam in lams[case, form]}
         return [] if len(values) == 1 else [
             (str(case), form.index, sorted(values))]
 
-    details = _over_forms(check, acceptance_cases(max_rank), real_forms)
+    details = _over_forms(check, lams)
     return {"id": 3, "name": "lambda-independence of the brute-force constant",
             "passed": not details["failures"], "details": details}
 
@@ -148,9 +219,15 @@ def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
     """Original and rewritten sums agree; orthogonality holds throughout.
 
     v2 goes first: its ``OrthogonalityError`` precedes the term-cap check.
+    Only the v2 sums are batched: orig at lambda_0 is criterion 1's.
     """
+    lams = {pair: default_lambda(*pair)
+            for pair in _forms(acceptance_cases(max_rank))}
+    _prewalk([(case, form, lam, "v2") for (case, form), lam in lams.items()],
+             term_cap, workers)
+
     def check(case, form):
-        lam = default_lambda(case, form)
+        lam = lams[case, form]
         try:
             v2 = cached_constant(case, form, lam, "v2", term_cap,
                                  workers).constant
@@ -160,7 +237,7 @@ def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
                                workers).constant
         return [] if orig == v2 else [(str(case), form.index, (orig, v2))]
 
-    details = _over_forms(check, acceptance_cases(max_rank), real_forms)
+    details = _over_forms(check, lams)
     return {"id": 4, "name": "formula equivalence and rho_n orthogonality",
             "passed": not details["failures"], "details": details}
 
@@ -177,9 +254,9 @@ def criterion_5(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
                 bad.append((str(case), [str(x) for x in lam], str(lhs)))
         return bad
 
-    details = _over_forms(
-        check, [c for c in acceptance_cases(max_rank) if c.family == "so-odd"],
-        lambda case: [f for f in real_forms(case) if f.kind == 3])
+    details = _over_forms(check, _forms(
+        [c for c in acceptance_cases(max_rank) if c.family == "so-odd"],
+        lambda case, form: form.kind == 3))
     return {"id": 5, "name": "vanishing sum for the third so-odd form",
             "passed": not details["failures"], "details": details}
 
@@ -215,10 +292,6 @@ def criterion_7(*, max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
     """
     shuffled = ("sp", "so-star")
 
-    def forms(case):
-        every = real_forms(case)
-        return every if case.family in shuffled + ("su",) else every[:1]
-
     def check(case, form):
         survivors = oracles.surviving_terms(case, form, term_cap=term_cap)
         if not oracles.check_oracle_against_brute_force(
@@ -240,10 +313,11 @@ def criterion_7(*, max_rank=None, term_cap=DEFAULT_TERM_CAP) -> dict:
                 bad.append((str(case), form.index, "#A != pq/2"))
         return bad
 
-    details = _over_forms(
-        check, sorted(acceptance_cases(max_rank),
-                      key=lambda c: (c.family not in shuffled, c.n or 0)),
-        forms)
+    details = _over_forms(check, _forms(
+        sorted(acceptance_cases(max_rank),
+               key=lambda c: (c.family not in shuffled, c.n or 0)),
+        lambda case, form: case.family in shuffled + ("su",)
+        or form.index == 1))
     return {"id": 7, "name": "oracle agreement for surviving terms",
             "passed": not details["failures"], "details": details}
 

@@ -591,6 +591,20 @@ def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
     assert started == [2] and mapped == [8]
 
 
+def _open_run_here(_):
+    run = constants._open_run.get()
+    return None if run is None else (type(run).__name__, len(run.memo))
+
+
+def test_pool_workers_run_outside_any_run():
+    # each worker is forked inside the block; it must not see a stale copy
+    # of the run, with its memo and the parent's executor
+    with worker_pool() as run:
+        run.memo["probe"] = 1
+        assert list(run.get(2).map(_open_run_here, range(2))) == [None, None]
+        assert _open_run_here(0) == ("_Run", 1)
+
+
 def test_worker_split_is_exact():
     case = GroupCase.so_odd(2, 3)
     form = get_form(case, 1)

@@ -4,8 +4,11 @@ private module-level name is read somewhere in the package, no module
 memoizes with ``functools``' caches, one function refuses the term cap,
 one function, ``constants._subset_sum``, walks the kernel (``_walk``),
 one method, ``constants._Run.get``, constructs the run's
-``ProcessPoolExecutor``, and one function, ``weylpoly.make_dim_poly``,
-packs roots into factors (``_pack_roots``)."""
+``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
+``constants._subset_sum``, a criterion's whole sums in ``verify._prewalk``),
+one function, ``constants._processes``, reads the CPU count, and one
+function, ``weylpoly.make_dim_poly``, packs roots into factors
+(``_pack_roots``)."""
 
 import ast
 import pathlib
@@ -150,16 +153,16 @@ def test_the_kernel_is_walked_in_one_place():
     assert readers == [("constants.py", "_subset_sum")]
 
 
-def _calls(tree, name):
-    """Functions of one source file that call ``name(...)``, by name or as
-    an attribute, each named with its enclosing classes, as ``_Run.get``;
-    "<module>" for a call outside them."""
+def _calls(tree, name, methods_only=False):
+    """Functions of one source file that call ``name(...)``, by name (unless
+    ``methods_only``) or as an attribute, each named with its enclosing
+    classes, as ``_Run.get``; "<module>" for a call outside them."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             scope += (node.name,)
         elif isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None),
+                None if methods_only else getattr(node.func, "id", None),
                 getattr(node.func, "attr", None)):
             yield ".".join(scope) or "<module>"
         for child in ast.iter_child_nodes(node):
@@ -173,6 +176,21 @@ def test_the_executor_is_constructed_in_one_place():
     starts = [(path.name, name) for path in SOURCES
               for name in _calls(_tree(path), "ProcessPoolExecutor")]
     assert starts == [("constants.py", "_Run.get")]
+
+
+def test_the_run_executor_is_mapped_in_two_places():
+    # a sum deals its classes in one function and a criterion its whole sums
+    # in another; a third map could deal work by a rule of its own
+    maps = [(path.name, name) for path in SOURCES
+            for name in _calls(_tree(path), "map", methods_only=True)]
+    assert maps == [("constants.py", "_subset_sum"), ("verify.py", "_prewalk")]
+
+
+def test_the_process_count_is_decided_in_one_place():
+    # the sums and the batch take min(workers, CPUs) from one helper
+    reads = [(path.name, name) for path in SOURCES
+             for name in _calls(_tree(path), "cpu_count")]
+    assert reads == [("constants.py", "_processes")]
 
 
 def test_roots_are_packed_in_one_place():

@@ -1,14 +1,17 @@
 """The memo a run keeps for its criteria, the forms they skip over the term
-cap, what criterion 7 enumerates, the one executor a run shares, and that
-each check of a criterion can fail, naming its witness."""
+cap, what criterion 7 enumerates, the one executor a run shares, the batch
+that deals criteria 3 and 4's sums whole, and that each check of a
+criterion can fail, naming its witness."""
 
+import collections
 import dataclasses
 import multiprocessing
+from fractions import Fraction
 
 import pytest
 
 from orbitconst import constants, oracles, verify
-from orbitconst.constants import default_lambda, levi_data
+from orbitconst.constants import DEFAULT_TERM_CAP, default_lambda, levi_data
 from orbitconst.orbits import get_form, real_forms
 from orbitconst.rootsys import GroupCase, build_root_system
 
@@ -173,6 +176,62 @@ def test_run_all_shares_one_executor_across_its_criteria(monkeypatch):
     pooled = verify.run_all(workers=2, skip_determinism=True)
     assert len(started) == 1
     assert pooled["criteria"] == serial["criteria"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
+    # SU(1,1) and Sp(4,R) form 1 at lambda = (2, 1) both sum over an empty
+    # pool from the base (4, 2), but their P_K differ: a key without the
+    # case hands one the other's total
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    lam = (Fraction(2), Fraction(1))
+    forms = [(case, get_form(case, 1))
+             for case in (GroupCase.su(1, 1), GroupCase.sp(2))]
+    alone = [constants._constant(case, form, lam, "orig", DEFAULT_TERM_CAP,
+                                 1).lhs for case, form in forms]
+    with constants.worker_pool() as run:
+        verify._prewalk([(case, form, lam, "orig") for case, form in forms],
+                        DEFAULT_TERM_CAP, 2)
+        assert len(run.walked) == 2
+        # each evaluation takes its pre-walked total instead of a walk
+        monkeypatch.setattr(constants, "_subset_sum", None)
+        batched = [verify.cached_constant(case, form, lam, "orig",
+                                          DEFAULT_TERM_CAP, 2).lhs
+                   for case, form in forms]
+        assert run.walked == {}
+    assert batched == alone
+
+
+def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
+    # criterion 3 deals its sums whole, in more than one chunk; every total
+    # is taken once, and the report, the evaluations and their subsets and
+    # nonzero terms are those of one worker
+    mapped, sums = [], collections.defaultdict(collections.Counter)
+    add = constants.alternating_sum
+
+    class Recording(constants.ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            mapped.append((fn.__name__, len(iterables[0])))
+            return super().map(fn, *iterables)
+
+    def counted(*args):
+        lhs, nonzero, subsets = add(*args)
+        sums[args[-1]].update(calls=1, subsets=subsets, nonzero=nonzero)
+        return lhs, nonzero, subsets
+
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(constants, "alternating_sum", counted)
+    reports = []
+    for workers in (1, 2):
+        with constants.worker_pool() as run:
+            reports.append(verify.run_all(max_rank=4, workers=workers,
+                                          skip_determinism=True)["criteria"])
+            assert run.walked == {}
+    assert reports[0] == reports[1]
+    assert sums[1] == sums[2] and sums[1]["calls"] > 0
+    assert mapped[0] == ("_walk_sums", 16)
+    assert all(name == "_walk_sums" and chunks > 1 for name, chunks in mapped)
     assert multiprocessing.active_children() == []
 
 
