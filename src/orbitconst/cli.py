@@ -19,10 +19,10 @@ import json
 import sys
 from fractions import Fraction
 
+from .closedform import closed_form_expr, constant_closed_form
 from .constants import (DEFAULT_TERM_CAP, LambdaDegenerateError,
                         NonIntegerQuotientError, TermCapExceeded, _constant,
-                        _form_data, closed_form_expr, constant_closed_form,
-                        worker_pool)
+                        _form_data, worker_pool)
 from .orbits import (dominant_h, get_form, orbit_partition, real_forms,
                      weighted_dynkin)
 from .rootsys import GroupCase

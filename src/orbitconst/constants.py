@@ -1,4 +1,4 @@
-"""Levi data of real forms and the brute-force / closed-form constants.
+"""Levi data of real forms and the brute-force constants.
 
 The constant c attached to a real form with neutral element h is defined by
 the alternating sum
@@ -22,8 +22,10 @@ exact integer.  The sum over subsets is a dynamic program over partial sums
 (``_walk``): subsets with equal partial weight vectors merge into signed and
 unsigned counts, states split into independent classes once a coordinate is
 final, and each P_K factor ``weylpoly.make_dim_poly`` packs is tested in one
-place: per class where it finishes early (a zero drops the class), else per
-block of factors that share no coordinate, memoized on its digits (``_Plan``).
+place: where it finishes early, once per distinct digits at that position as
+a class opens (a zero drops the class before it is filled), else per block
+of factors that share no coordinate; each memo lasts one walk (``_Plan``).
+The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
 roots here and deals the classes reached, scales included, so each state is
 walked once; ``verify`` deals a criterion's whole sums, each walked
@@ -157,10 +159,13 @@ class _Plan(NamedTuple):
     width * i, so adding root ``steps[pos]`` is one int addition.  After
     ``pos`` roots, ``cut[pos]`` masks the digits no later root changes, and
     where ``splits[pos]`` the states are split into classes by those digits.
-    ``finish[pos]`` holds the factors whose coordinates are all final after
-    ``pos`` roots (and not after fewer), for pos < m, and ``finish[m]`` is
-    empty; ``blocks`` groups the factors that only the last root finishes,
-    with ``_blocks``, into blocks that share no coordinate.
+    ``finish[pos]`` is (digits, tests), shaped as a block: the factors whose
+    coordinates are all final after ``pos`` roots (and not after fewer), for
+    pos < m, and the digits they read; ``finish[m]`` is empty.  ``_open``
+    tests them once per distinct digits, not once per class, and drops a
+    class they zero before filling it.  ``blocks`` groups the factors that
+    only the last root finishes, with ``_blocks``, into blocks that share no
+    coordinate.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -220,8 +225,9 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     key = sum((b + bound) << (width * i) for i, b in enumerate(base))
     steps = tuple(sum(d << (width * i) for i, d in enumerate(deltas[t]))
                   for t in order)
-    return _Plan(key, steps, cut, splits, tuple(map(tuple, finish)),
-                 _blocks(live, mask), mask)
+    finish = tuple((sum({mask << s for t in tests for s in (t[0], t[2])}),
+                    tuple(tests)) for tests in finish)
+    return _Plan(key, steps, cut, splits, finish, _blocks(live, mask), mask)
 
 
 def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
@@ -240,21 +246,34 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(blocks)
 
 
-def _open(plan: _Plan, states: dict, pos: int,
-          scale: int) -> list[tuple[dict, int, int]]:
+def _open(plan: _Plan, states: dict, pos: int, scale: int,
+          memo: dict) -> list[tuple[dict, int, int]]:
     """Split ``states`` into classes by the digits finished after ``pos`` roots.
 
     ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
     A class's scale is ``scale`` times the factors ``finish[pos]`` on its
-    digits; classes whose scale is 0 are dropped.  Returns (states, pos,
-    scale) classes: states of different classes never merge again.
+    digits, taken from ``memo`` (position ``pos``'s, keyed on those digits)
+    when its first state arrives; a class whose scale is 0 is dropped before
+    it is filled.  Returns (states, pos, scale) classes: states of different
+    classes never merge again.
     """
-    cut, tests, mask = plan.cut[pos], plan.finish[pos], plan.mask
-    classes: dict[int, dict] = {}
+    cut, mask = plan.cut[pos], plan.mask
+    digits, tests = plan.finish[pos]
+    classes: dict[int, dict | bool] = {}  # False marks a dropped class
+    opened = []
     for key, value in states.items():
-        classes.setdefault(key & cut, {})[key] = value
-    return [(states, pos, class_scale) for k, states in classes.items()
-            if (class_scale := scale * _factors(tests, k, mask))]
+        members = classes.get(key & cut)
+        if members is None:
+            sub = key & digits
+            factor = memo.get(sub)
+            if factor is None:
+                factor = memo[sub] = _factors(tests, sub, mask)
+            members = classes[key & cut] = {} if factor else False
+            if factor:
+                opened.append((members, pos, scale * factor))
+        if members is not False:
+            members[key] = value
+    return opened
 
 
 def _factors(tests: tuple, key: int, mask: int) -> int:
@@ -270,7 +289,8 @@ def _factors(tests: tuple, key: int, mask: int) -> int:
 def _walk(plan: _Plan, stack: list,
           stop: int | None = None) -> tuple[int, int, list]:
     """Walk the classes on ``stack`` to root ``stop``, by default the last,
-    splitting them where digits finish.
+    splitting them where digits finish, with one ``_open`` memo per position
+    for this call.
 
     A class that reaches the last root adds its scale times the sum of its
     states' block products to the total, each block value memoized on its
@@ -282,6 +302,7 @@ def _walk(plan: _Plan, stack: list,
     m = len(steps)
     stop = m if stop is None else stop
     blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
+    memos = [{} for _ in splits]
     total = nonzero = 0
     frontier = []
     while stack:
@@ -298,7 +319,7 @@ def _walk(plan: _Plan, stack: list,
             states = out
             pos += 1
             if splits[pos]:
-                stack += _open(plan, states, pos, scale)
+                stack += _open(plan, states, pos, scale, memos[pos])
                 break
         else:
             if pos < m:
@@ -423,7 +444,7 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     processes = _processes(workers) if m >= 12 else 1
     depth = min(m, workers.bit_length() + 2) if processes > 1 else m
     total, nonzero, frontier = _walk(
-        plan, _open(plan, {plan.base: (1, 1)}, 0, 1), depth)
+        plan, _open(plan, {plan.base: (1, 1)}, 0, 1, {}), depth)
     size = min(workers, len(frontier))
     if size <= 1:
         parts = [_walk(plan, frontier)]
@@ -619,61 +640,6 @@ def lambda_candidates(case: GroupCase, form: RealForm | int, count: int = 3,
         if lam not in chosen and eval_dim_poly(plk, lam) != 0:
             chosen.append(lam)
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def _closed_form_spec(case: GroupCase, form: RealForm | int):
-    """The closed form c = (-1)^e * magnitude as (e, magnitude), or None for 0.
-
-    The magnitude is a pair (a, b) for the binomial C(a, b), or an int k for
-    2^k.  Both renderings below read this one spec.
-    """
-    p, q, n, k = case.p, case.q, case.n, get_form(case, form).kind
-    if case.family == "su":
-        return k * (p + q - k), (p, k)
-    if case.family in ("sp", "so-star"):
-        if n % 2 == 0 and k % 2 == 1:
-            return None
-        r, s = k // 2, (n - k) // 2
-        return (k + 1) // 2, (r + s, r)
-    if case.family == "so-odd":
-        if k == 3:
-            return None
-        return (p + 1) // 2 + (1 if k == 2 else 0), 2 * p - 2
-    # so-even
-    if k in (1, 2):
-        return p // 2, 2 * p - 2
-    return (p + 1) // 2, (2 * p - 1 if (k == 3 and q > p) else 2 * p - 2)
-
-
-def constant_closed_form(case: GroupCase, form: RealForm | int) -> int:
-    """Exact closed-form value of the constant for this real form."""
-    spec = _closed_form_spec(case, form)
-    if spec is None:
-        return 0
-    sign, magnitude = spec
-    if isinstance(magnitude, tuple):
-        return (-1) ** sign * math.comb(*magnitude)
-    return (-1) ** sign * 2 ** magnitude
-
-
-def closed_form_expr(case: GroupCase, form: RealForm | int,
-                     latex: bool = False) -> str:
-    """Human-readable instantiated closed form, for table output."""
-    spec = _closed_form_spec(case, form)
-    if spec is None:
-        return "0"
-    sign, magnitude = spec
-    if latex:
-        value = (r"\binom{%d}{%d}" % magnitude if isinstance(magnitude, tuple)
-                 else f"2^{{{magnitude}}}")
-        return rf"(-1)^{{{sign}}} \cdot {value}"
-    value = ("C(%d,%d)" % magnitude if isinstance(magnitude, tuple)
-             else f"2^{magnitude}")
-    return f"(-1)^{sign}*{value}"
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ import json
 from fractions import Fraction
 
 from . import constants, oracles
+from .closedform import constant_closed_form
 from .constants import (DEFAULT_TERM_CAP, OrthogonalityError,
-                        TermCapExceeded, auto_sign_relation,
-                        constant_closed_form, default_lambda,
+                        TermCapExceeded, auto_sign_relation, default_lambda,
                         lambda_candidates)
 from .orbits import flip_source, real_forms
 from .rootsys import GroupCase, type_b_positive_roots, type_d_positive_roots

@@ -16,9 +16,10 @@ import json
 from dataclasses import replace
 
 from orbitconst import verify
+from orbitconst.closedform import constant_closed_form
 from orbitconst.constants import (DEFAULT_TERM_CAP, alternating_sum,
-                                  constant_closed_form, default_lambda,
-                                  levi_data, levi_k_poly, rho_n_orthogonal)
+                                  default_lambda, levi_data, levi_k_poly,
+                                  rho_n_orthogonal)
 from orbitconst.orbits import real_forms
 from orbitconst.rootsys import (build_root_system, flip, half_sum, negate,
                                 pair)

@@ -454,10 +454,25 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
             nonzero + sum(n for _, n in parts)) == expected
 
 
+def test_each_position_memoizes_its_own_factors_for_one_walk():
+    # found by search.  Both sums walk (-2, 0, 2), then (-2, 2, 0): after one
+    # root coordinate 2 is final but no factor finishes, so position 1
+    # memoizes the empty product 1 on the digits 0; after two roots the
+    # factor on v_0 finishes, and in the first sum v_0 = -5, the bound, has
+    # the digit 0.  A memo shared by the positions reads 1 for 2 v_0 = -10.
+    # The second sum's digit 4 is v_0 = 0, where the first's was v_0 = -1,
+    # so a memo kept from the first sum's walk misses the second's zeros.
+    deltas = ((0, -2, 0), (-2, 0, 2), (-2, 2, 0))
+    for base, packed in (((-1, 0, 3), ((0, 2, 0, 0), (1, -1, 0, -2))),
+                         ((0, 0, -1), ((0, 1, 0, 0),))):
+        assert _subset_sum(base, deltas, packed) == \
+            _naive_sum(base, deltas, packed)
+
+
 def _start(plan):
     """The one class the walk opens with: the base state, scaled by the
     factors no root changes."""
-    return _open(plan, {plan.base: (1, 1)}, 0, 1)
+    return _open(plan, {plan.base: (1, 1)}, 0, 1, {})
 
 
 def test_a_root_on_one_coordinate_is_packed_onto_that_coordinate():
@@ -490,8 +505,8 @@ def test_plan_tests_each_factor_once_where_it_finishes():
                 m, mask = len(deltas), plan.mask
                 width = mask.bit_length()
                 live = [(m, t) for _, tests in plan.blocks for t in tests]
-                placed = [(pos, t) for pos, tests in enumerate(plan.finish)
-                          for t in tests] + live
+                placed = [(pos, t) for pos, (_, tests) in enumerate(
+                    plan.finish) for t in tests] + live
                 assert sorted((si // width, ci, sj // width, cj)
                               for _, (si, ci, sj, cj, _) in placed) == sorted(
                     packed), (str(case), form.index)
@@ -502,7 +517,13 @@ def test_plan_tests_each_factor_once_where_it_finishes():
                     if pos > 0:
                         assert reads & ~plan.cut[pos - 1]
                 assert all(plan.splits[pos] for pos in range(1, m)
-                           if plan.finish[pos])
+                           if plan.finish[pos][1])
+                # each position's memo key is exactly what its tests read
+                for digits, tests in plan.finish:
+                    reads = 0
+                    for si, _, sj, _, _ in tests:
+                        reads |= mask << si | mask << sj
+                    assert digits == reads
 
 
 def _sum_of_4096():
