@@ -25,6 +25,7 @@ final, and each P_K factor ``weylpoly.make_dim_poly`` packs is tested in one
 place: where it finishes early, once per distinct digits at that position as
 a class opens (a zero drops the class before it is filled), else per block
 of factors that share no coordinate; each memo lasts one walk (``_Plan``).
+Roots are walked in the order ``rootorder._order`` reads from the sum.
 The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
 roots here and deals the classes reached, scales included, so each state is
@@ -51,6 +52,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .orbits import RealForm, flip_source, get_form
+from .rootorder import _order
 from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
                       flip, half_sum, pair)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly
@@ -188,25 +190,16 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
     That check covers every factor the roots leave unchanged, whether or not
     they touch its coordinates: a zero such factor makes every term 0, which
     ``finish`` and ``blocks`` would find only after walking the whole sum.
-    Roots are ordered by repeatedly taking every remaining root that touches
-    the coordinate with the fewest remaining roots, so coordinates finish,
-    and classes split, early.
+    Roots are taken in ``_order``, which reads the base as well as the
+    roots: where factors finish first decides how many classes are dropped
+    early, and that depends on lambda.
     """
     rank, m = len(base), len(deltas)
     bound = max((abs(b) + sum(abs(d[i]) for d in deltas)
                  for i, b in enumerate(base)), default=0)
     width = (2 * bound + 1).bit_length()
     mask = (1 << width) - 1
-    remaining, order = list(range(m)), []
-    while remaining:
-        touching = {}
-        for t in remaining:
-            for i, d in enumerate(deltas[t]):
-                if d:
-                    touching.setdefault(i, []).append(t)
-        taken = min(touching.values(), key=len)
-        order += taken
-        remaining = [t for t in remaining if t not in taken]
+    order = _order(base, deltas, packed)
     # done[i]: the number of roots after which coordinate i no longer changes
     done = [1 + max((pos for pos, t in enumerate(order) if deltas[t][i]),
                     default=-1) for i in range(rank)]

@@ -10,8 +10,9 @@ from orbitconst import GroupCase, oracles
 from orbitconst.constants import _constant, worker_pool
 
 ORACLES = pathlib.Path(orbitconst.__file__).parent / "oracles.py"
-KERNEL = {"_plan", "_Plan", "_blocks", "_subset_sum", "_open", "_walk",
-          "_factors", "alternating_sum", "_in_run", "_form_data", "_FormData"}
+KERNEL = {"_plan", "_Plan", "rootorder", "_order", "_blocks", "_subset_sum",
+          "_open", "_walk", "_factors", "alternating_sum", "_in_run",
+          "_form_data", "_FormData"}
 
 
 def _names(tree):

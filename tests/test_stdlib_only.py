@@ -6,9 +6,9 @@ one function, ``constants._subset_sum``, walks the kernel (``_walk``),
 one method, ``constants._Run.get``, constructs the run's
 ``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
 ``constants._subset_sum``, a criterion's whole sums in ``verify._prewalk``),
-one function, ``constants._processes``, reads the CPU count, and one
+one function, ``constants._processes``, reads the CPU count, one
 function, ``weylpoly.make_dim_poly``, packs roots into factors
-(``_pack_roots``)."""
+(``_pack_roots``), and no module writes a float literal or reads ``float``."""
 
 import ast
 import pathlib
@@ -199,3 +199,20 @@ def test_roots_are_packed_in_one_place():
     packs = [(path.name, name) for path in SOURCES
              for name in _calls(_tree(path), "_pack_roots")]
     assert packs == [("weylpoly.py", "make_dim_poly")]
+
+
+def _floats(tree):
+    """Float literals, and reads of the name ``float``, in one source file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield repr(node.value)
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id == "float"):
+            yield "float"
+
+
+def test_no_module_uses_a_float():
+    # arithmetic is exact everywhere: integers and Fractions, no tolerances
+    floats = [(path.name, found) for path in SOURCES
+              for found in _floats(_tree(path))]
+    assert floats == []
