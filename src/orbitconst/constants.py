@@ -24,7 +24,9 @@ unsigned counts, states split into independent classes once a coordinate is
 final, and each P_K factor ``weylpoly.make_dim_poly`` packs is tested in one
 place: where it finishes early, once per distinct digits at that position as
 a class opens (a zero drops the class before it is filled), else per block
-of factors that share no coordinate; each memo lasts one walk (``_Plan``).
+of factors that share no coordinate, which the leaf reads at each state and
+at the state plus the last root, so the last position's dict is never
+built; each memo lasts one walk (``_Plan``).
 Roots are walked in the order ``rootorder._order`` reads from the sum.
 The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
@@ -167,7 +169,8 @@ class _Plan(NamedTuple):
     tests them once per distinct digits, not once per class, and drops a
     class they zero before filling it.  ``blocks`` groups the factors that
     only the last root finishes, with ``_blocks``, into blocks that share no
-    coordinate.
+    coordinate, and ``shifts[b]`` is the last root on block b's digits, so
+    ``_walk``'s leaf reads a block at k and at k plus the last root.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -180,6 +183,7 @@ class _Plan(NamedTuple):
     splits: tuple[bool, ...]
     finish: tuple[tuple, ...]
     blocks: tuple[tuple[int, tuple], ...]
+    shifts: tuple[int, ...]
     mask: int
 
 
@@ -220,7 +224,13 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
                   for t in order)
     finish = tuple((sum({mask << s for t in tests for s in (t[0], t[2])}),
                     tuple(tests)) for tests in finish)
-    return _Plan(key, steps, cut, splits, finish, _blocks(live, mask), mask)
+    blocks = _blocks(live, mask)
+    # the last root on each block's digits; ``last & digits`` is wrong where
+    # the root has a negative entry, which borrows from the digits above it
+    last = steps[-1] if steps else 0
+    shifts = tuple(((key + last) & digits) - (key & digits)
+                   for digits, _ in blocks)
+    return _Plan(key, steps, cut, splits, finish, blocks, shifts, mask)
 
 
 def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
@@ -285,22 +295,29 @@ def _walk(plan: _Plan, stack: list,
     splitting them where digits finish, with one ``_open`` memo per position
     for this call.
 
-    A class that reaches the last root adds its scale times the sum of its
-    states' block products to the total, each block value memoized on its
-    digits for this call; a state with a zero block is not a nonzero term.
-    Returns (total, nonzero-term count, frontier): the frontier holds the
-    classes that stop short of the last root.
+    A walk to the last root stops one root short: the leaf reads each state
+    k at k and at k plus the last root, whose subsets have the opposite
+    sign, so a class adds its scale times the sum of its states'
+    signed * (F(k) - F(k + last)), F the product of the blocks, and the last
+    position's dict is never built.  Each block memoizes, for this call, its
+    value on its digits, so each digit string is evaluated once, and the
+    pair of values at a state's digits, so a state reads both in one lookup.
+    A zero product is not a nonzero term.  With no roots the leaf reads the
+    base alone.  Returns (total, nonzero-term count, frontier): the frontier
+    holds the classes that stop short of the last root.
     """
     steps, splits, mask = plan.steps, plan.splits, plan.mask
     m = len(steps)
     stop = m if stop is None else stop
-    blocks = [(digits, tests, {}) for digits, tests in plan.blocks]
+    fold = int(0 < stop == m)  # 1 where the leaf reads the last root
+    blocks = [(digits, shift, tests, {}, {}) for (digits, tests), shift
+              in zip(plan.blocks, plan.shifts)]
     memos = [{} for _ in splits]
     total = nonzero = 0
     frontier = []
     while stack:
         states, pos, scale = stack.pop()
-        while pos < stop:
+        while pos < stop - fold:
             # add root ``pos`` to every subset
             step, out = steps[pos], dict(states)
             get = out.get
@@ -315,23 +332,31 @@ def _walk(plan: _Plan, stack: list,
                 stack += _open(plan, states, pos, scale, memos[pos])
                 break
         else:
-            if pos < m:
+            if stop < m:
                 frontier.append((states, pos, scale))
                 continue
             part = 0
             for key, (signed, count) in states.items():
-                term = 1
-                for digits, tests, memo in blocks:
+                here, there = 1, fold  # F(k), and F(k + last) if any
+                for digits, shift, tests, pairs, values in blocks:
                     sub = key & digits
-                    value = memo.get(sub)
-                    if value is None:
-                        value = memo[sub] = _factors(tests, sub, mask)
-                    if not value:
+                    pair = pairs.get(sub)
+                    if pair is None:
+                        f0 = values.get(sub)
+                        if f0 is None:
+                            f0 = values[sub] = _factors(tests, sub, mask)
+                        moved = sub + shift
+                        f1 = values.get(moved)
+                        if f1 is None:
+                            f1 = values[moved] = _factors(tests, moved, mask)
+                        pair = pairs[sub] = (f0, f1)
+                    here *= pair[0]
+                    there *= pair[1]
+                    if not (here or there):
                         break
-                    term *= value
                 else:
-                    nonzero += count
-                    part += signed * term
+                    nonzero += count * ((here != 0) + (there != 0))
+                    part += signed * (here - there)
             total += part * scale
     return total, nonzero, frontier
 

@@ -433,6 +433,18 @@ def _sums(draw):
 # the first root and is zero where that root is present
 @example(((-1, -1, 1), ((1, 0, 1), (0, -1, 1)),
           ((2, -1, 1, -1), (0, -1, 0, 0))), 1, 2)
+# no roots: the leaf reads the base alone, v_0 * (v_0 + v_1) = 2
+@example(((2, -1), (), ((0, 1, 0, 0), (0, 1, 1, 1))), 0, 1)
+# one root: both halves are nonzero, 3 - 1
+@example(((3,), ((-2,),), ((0, 1, 0, 0),)), 0, 1)
+# the last root, -e_0 + e_1, moves v_0's block and v_1's: masked to v_1's
+# digits its packed int reads 0, the +1 less the borrow of the -1 below
+@example(((3, 1, 1), ((0, 1, -1), (-1, 1, 0)),
+          ((0, 1, 0, 0), (1, 1, 1, 0), (2, 1, 2, 0))), 0, 1)
+# the frontier stops at the last root's position, in 4 classes dealt to 2
+# chunks, and each chunk reads the last root in its leaf
+@example(((1, 1, 1), ((1, 0, 0), (0, 1, 0), (0, 1, -1)),
+          ((0, 1, 0, 0), (1, 1, 1, 0), (1, 1, 2, -1))), 2, 2)
 def test_kernel_matches_naive_reference(data, depth, chunks):
     base, deltas, packed = data
     expected = _naive_sum(base, deltas, packed)
@@ -447,6 +459,7 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     total, nonzero, frontier = _walk(plan, _start(plan), depth)
     if depth == len(deltas):
         assert frontier == []
+    assert all(pos == depth for _, pos, _ in frontier)
     dealt = [frontier[w::chunks] for w in range(chunks)]
     keys = [key for chunk in dealt for states, _, _ in chunk for key in states]
     assert len(keys) == len(set(keys))
@@ -497,8 +510,20 @@ def test_an_acceptance_sum_walked_in_another_order_is_unchanged():
     assert _subset_sum(*data) == _subset_sum(*permuted) == _naive_sum(*data)
 
 
-# (group, p, q, form): the sums of the heavy-wall benchmark at lambda_0
-HEAVY_WALL = (("so_odd", 3, 4, 3), ("so_odd", 3, 5, 1), ("so_even", 3, 5, 3))
+# (group, p, q, form): the forms of the heavy benchmarks, summed at lambda_0
+# by heavy-wall and at lambda_candidates(count=2, seed=0)[1] by heavy-generic
+HEAVY = (("so_odd", 3, 4, 3), ("so_odd", 3, 5, 1), ("so_even", 3, 5, 3))
+
+
+def _sum_heavy(generic):
+    """Evaluate each heavy form at heavy-generic's lambda, or at lambda_0,
+    and check it against the closed form."""
+    for group, p, q, index in HEAVY:
+        case = getattr(GroupCase, group)(p, q)
+        lam = (lambda_candidates(case, index, count=2, seed=0)[1]
+               if generic else None)
+        assert _constant(case, index, lam, "orig", DEFAULT_TERM_CAP,
+                         1).constant == constant_closed_form(case, index)
 
 
 def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
@@ -513,11 +538,25 @@ def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
         return classes
 
     monkeypatch.setattr(constants, "_open", counted)
-    for group, p, q, index in HEAVY_WALL:
-        case = getattr(GroupCase, group)(p, q)
-        assert _constant(case, index, None, "orig", DEFAULT_TERM_CAP,
-                         1).constant == constant_closed_form(case, index)
+    _sum_heavy(generic=False)
     assert sum(opened) <= 1558
+
+
+def test_the_leaf_evaluates_each_digit_string_once(monkeypatch):
+    # at heavy-generic's lambda 53% of the terms are nonzero, and the leaf
+    # reads each state's blocks at the state and at the state plus the last
+    # root: filled from the values on each digit string, its pairs take
+    # 6,589 evaluations on these sums, and pairs evaluated afresh take 9,336
+    calls = []
+    factors = constants._factors
+
+    def counted(*args):
+        calls.append(args)
+        return factors(*args)
+
+    monkeypatch.setattr(constants, "_factors", counted)
+    _sum_heavy(generic=True)
+    assert len(calls) <= 6589
 
 
 def test_each_position_memoizes_its_own_factors_for_one_walk():
