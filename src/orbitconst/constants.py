@@ -32,13 +32,13 @@ The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
 roots here and deals the classes reached, scales included, so each state is
 walked once; ``verify`` deals a criterion's whole sums, each walked
-serially, and ``alternating_sum`` takes each total, once, from the run.
-Every part is an exact integer, so results are bit-identical for any worker
+serially, into the run's memo, where ``alternating_sum`` reads them.  Every
+part is an exact integer, so results are bit-identical for any worker
 count.  A ``worker_pool()`` block is one run: it holds the one executor its
 pooled work shares, which the outermost block shuts down, and one memo that
-goes with it: its evaluations, each form's record (root system, Levi data,
-P_{L&K}) and each case's P_K.  A forked worker is in no run.  A sum outside
-any block opens one, and outside one nothing is memoized.
+goes with it: its evaluations and sums, each form's record (root system,
+Levi data, P_{L&K}) and each case's P_K.  A forked worker is in no run.  A
+sum outside any block opens one, and outside one nothing is memoized.
 """
 
 from __future__ import annotations
@@ -362,14 +362,12 @@ def _walk(plan: _Plan, stack: list,
 
 
 class _Run:
-    """One run: the executor its pooled work shares, the memo ``_in_run``
-    fills, and the pre-walked sums, each (total, nonzero), that
-    ``alternating_sum`` takes once each."""
+    """One run: the executor its pooled work shares, and the memo ``_in_run``
+    fills, which a batch of sums may also fill ahead of their evaluations."""
 
     def __init__(self):
         self.executor = None
         self.memo = {}
-        self.walked = {}
 
     def get(self, size: int) -> ProcessPoolExecutor:
         """The executor, started with ``size`` processes by the run's first
@@ -511,27 +509,32 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
-                    variant: str = "orig", term_cap: int = DEFAULT_TERM_CAP,
-                    workers: int = 1) -> tuple[Fraction, int, int]:
-    """Left-hand side of the defining equation at ``lam``.
-
-    Returns (LHS value, number of nonzero terms, total term count).  v2
-    raises ``OrthogonalityError``, before the term-cap check, unless
-    rho_n(l) is orthogonal to the compact Levi roots.  A sum a batch walked
-    is taken from the run, keyed on what fixes it: its walk's inputs and
-    ``workers``; else ``workers`` splits it as ``_subset_sum`` decides.
-    """
+def _sum_key(rs, levi, lam, variant, term_cap, workers):
+    """The run's key for a sum's (total, nonzero), ("sum", base, deltas,
+    packed, workers), and ``_prepare_enumeration``'s four values.  Refuses a
+    ``workers`` or ``term_cap`` that is not an int of at least 1, then v2
+    unless rho_n(l) is orthogonal to the compact Levi roots, then as
+    ``_prepare_enumeration`` does."""
     _check_positive("workers", workers)
     _check_positive("term_cap", term_cap)
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")
-    base, deltas, packed, pk_denominator = _prepare_enumeration(
-        rs, levi, lam, variant, term_cap)
-    run = _open_run.get()
-    walked = run and run.walked.pop((base, deltas, packed, workers), None)
-    total, nonzero = walked or _subset_sum(base, deltas, packed, workers)
+    prepared = _prepare_enumeration(rs, levi, lam, variant, term_cap)
+    return ("sum", *prepared[:3], workers), prepared
+
+
+def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
+                    variant: str = "orig", term_cap: int = DEFAULT_TERM_CAP,
+                    workers: int = 1) -> tuple[Fraction, int, int]:
+    """Left-hand side of the defining equation at ``lam``: (LHS value,
+    number of nonzero terms, total term count).  Refuses as ``_sum_key``
+    does.  The sum is memoized in the run under that key, where a batch may
+    have put it; else ``workers`` splits it as ``_subset_sum`` decides."""
+    key, (base, deltas, packed, pk_denominator) = _sum_key(
+        rs, levi, lam, variant, term_cap, workers)
+    total, nonzero = _in_run(
+        key, lambda: _subset_sum(base, deltas, packed, workers))
     exponent = levi.big_n + (len(levi.delta_n_plus_l) if variant == "v2" else 0)
     signed = -total if exponent % 2 else total
     return Fraction(signed) / pk_denominator, nonzero, 1 << len(deltas)

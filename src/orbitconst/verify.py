@@ -16,10 +16,10 @@ case's P_K: the criteria of one run share them, each run computes its own.
 Pooled work is dealt in two ways.  A single sum deals its classes
 (``constants._subset_sum``).  Criteria 3 and 4 first collect the
 evaluations they will make, and ``_prewalk`` deals the sums among them that
-the run has not evaluated to the run's executor whole, largest pool first;
-each pre-walked total waits in the run until its evaluation takes it, once,
-so every evaluation still goes through ``cached_constant``.  Criterion 1
-stays one evaluation at a time: its sums at lambda_0 are few and pruned,
+the run has not evaluated to the run's executor whole, largest pool first,
+into the run's memo, where each evaluation's ``alternating_sum`` reads its
+sum, so every evaluation still goes through ``cached_constant``.  Criterion
+1 stays one evaluation at a time: its sums at lambda_0 are few and pruned,
 and criteria 3 and 4 read them from the memo.
 """
 
@@ -54,47 +54,43 @@ def _prewalk(evaluations, term_cap, workers) -> None:
     ((case, form, lam, variant) each) that the open run has not evaluated.
 
     The sums go whole, largest pool first, round-robin into
-    ``_CHUNKS_PER_PROCESS`` chunks per process, and ``_walk_sums`` walks
-    each serially.  Each total waits in the run's ``walked``, keyed on what
-    fixes the sum (its walk's inputs and ``workers``), until
-    ``alternating_sum`` takes it, once.  A sum whose set-up raises
-    (``TermCapExceeded``, or v2's ``OrthogonalityError``) is left out, so
-    its evaluation raises as it would have.  Outside a run, or at one
-    process, nothing is walked here.
+    ``_CHUNKS_PER_PROCESS`` chunks per process, each walked serially by
+    ``_walk_sums`` into the run's memo under ``constants._sum_key``.  A sum
+    that key refuses (``TermCapExceeded``, or v2's ``OrthogonalityError``)
+    is left out, so its evaluation raises as it would have.  Outside a run,
+    or at one process, nothing is walked here.
     """
     constants._check_positive("workers", workers)
     run = constants._open_run.get()
     processes = constants._processes(workers)
     if run is None or processes == 1:
         return
-    keys, shared = {}, {}
+    sums, shared = {}, {}
     for case, form, lam, variant in evaluations:
         if (case, form, lam, variant, term_cap, workers) in run.memo:
             continue
         data = constants._form_data(case, form)
-        if variant == "v2" and not constants.rho_n_orthogonal(data.levi):
-            continue
         try:
-            base, deltas, packed, _ = constants._prepare_enumeration(
-                data.rs, data.levi, lam, variant, term_cap)
-        except TermCapExceeded:
+            key, (base, deltas, packed, _) = constants._sum_key(
+                data.rs, data.levi, lam, variant, term_cap, workers)
+        except (OrthogonalityError, TermCapExceeded):
             continue
         # the lambdas of one form at one scale share their deltas: keep one
-        keys[base, shared.setdefault(deltas, deltas), packed, workers] = None
-    keys = sorted(keys, key=lambda key: len(key[1]), reverse=True)
+        sums[key] = base, shared.setdefault(deltas, deltas), packed
+    keys = sorted(sums, key=lambda key: len(sums[key][1]), reverse=True)
     size = min(len(keys), _CHUNKS_PER_PROCESS * processes)
     deal = [keys[c::size] for c in range(size)]
     if deal:
-        chunks = run.get(processes).map(_walk_sums, deal)
+        chunks = run.get(processes).map(
+            _walk_sums, [[sums[key] for key in chunk] for chunk in deal])
         for chunk, walked in zip(deal, chunks):
-            run.walked.update(zip(chunk, walked))
+            run.memo.update(zip(chunk, walked))
 
 
-def _walk_sums(keys):
-    """One chunk of a batch: each sum, by its key, walked serially by
-    ``constants._subset_sum``, in this process."""
-    return [constants._subset_sum(base, deltas, packed)
-            for base, deltas, packed, _ in keys]
+def _walk_sums(chunk):
+    """One chunk of a batch: each sum, (base, deltas, packed), walked
+    serially by ``constants._subset_sum``, in this process."""
+    return [constants._subset_sum(*walk) for walk in chunk]
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:

@@ -63,6 +63,35 @@ MUTANTS = (
     Mutant("a float literal", "constants.py",
            "return 2 * math.lcm(", "return 2.0 * math.lcm(",
            ("tests/test_stdlib_only.py::test_no_module_uses_a_float",)),
+    Mutant("no sign flip on the added root", "constants.py",
+           "((-signed, count) if old is None",
+           "((signed, count) if old is None", (KERNEL,)),
+    Mutant("class scale not multiplied in", "constants.py",
+           "opened.append((members, pos, scale * factor))",
+           "opened.append((members, pos, scale))", (KERNEL,)),
+    Mutant("digit width too narrow", "constants.py",
+           "width = (2 * bound + 1).bit_length()",
+           "width = bound.bit_length()", (KERNEL,)),
+    Mutant("root order's zero-share tie turned to the fewest zeros",
+           "rootorder.py", "taken = max(tied, key=lambda ts: sum(",
+           "taken = min(tied, key=lambda ts: sum(",
+           ("tests/test_constants.py::"
+            "test_the_root_order_finishes_zeroing_factors_first",)),
+    Mutant("a second executor in _subset_sum", "constants.py",
+           "parts = list(run.get(processes).map(",
+           "parts = list(ProcessPoolExecutor(processes).map(",
+           ("tests/test_stdlib_only.py::"
+            "test_the_executor_is_constructed_in_one_place",)),
+    Mutant("workers dropped from the sum key", "constants.py",
+           'return ("sum", *prepared[:3], workers), prepared',
+           'return ("sum", *prepared[:3]), prepared',
+           ("tests/test_constants.py::"
+            "test_a_run_walks_a_sum_again_at_another_worker_count",)),
+    Mutant("sum key cut to (base, deltas)", "constants.py",
+           'return ("sum", *prepared[:3], workers), prepared',
+           'return ("sum", *prepared[:2]), prepared',
+           ("tests/test_verify.py::"
+            "test_a_batch_keys_each_sum_on_what_fixes_it",)),
 )
 
 

@@ -871,6 +871,33 @@ def test_nothing_is_set_up_for_longer_than_a_run(monkeypatch):
                      "make_dim_poly": 8}
 
 
+def test_a_run_walks_a_sum_again_at_another_worker_count(monkeypatch):
+    # criterion 9 compares one run's reports at several worker counts: a sum
+    # memoized without its worker count would serve the first count's total
+    # to the rest, and the check would compare the memo with itself
+    walks, started = [], []
+    walk, executor = constants._subset_sum, constants.ProcessPoolExecutor
+
+    def walked(*args):
+        walks.append(args[-1])
+        return walk(*args)
+
+    def counted(*args, **kwargs):
+        started.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants, "_subset_sum", walked)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", counted)
+    case = GroupCase.so_odd(3, 3)  # form 1 sums over 2^12 subsets
+    with worker_pool():
+        one = constant_brute_force_orig(case, 1, workers=1)
+        assert walks == [1] and started == []
+        two = constant_brute_force_orig(case, 1, workers=2)
+        assert walks == [1, 2] and len(started) == 1
+    assert one == two == constant_closed_form(case, 1)
+
+
 def test_each_form_of_a_case_has_its_own_record():
     case = GroupCase.so_even(2, 2)
     with worker_pool():

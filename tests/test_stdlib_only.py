@@ -5,7 +5,8 @@ memoizes with ``functools``' caches, one function refuses the term cap,
 one function, ``constants._subset_sum``, walks the kernel (``_walk``),
 one method, ``constants._Run.get``, constructs the run's
 ``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
-``constants._subset_sum``, a criterion's whole sums in ``verify._prewalk``),
+``constants._subset_sum``, a criterion's whole sums, into the run's one
+memo, in ``verify._prewalk``),
 one function, ``constants._processes``, reads the CPU count, one
 function, ``weylpoly.make_dim_poly``, packs roots into factors
 (``_pack_roots``), and no module writes a float literal or reads ``float``."""
@@ -105,8 +106,8 @@ def _functools_caches(tree):
 
 
 def test_no_module_memoizes_with_functools():
-    # evaluations are memoized in the run a worker_pool() block opens, and
-    # nowhere that outlives it
+    # evaluations and sums are memoized in the run a worker_pool() block
+    # opens, and nowhere that outlives it
     cached = {(path.name, name) for path in SOURCES
               for name in _functools_caches(_tree(path))}
     assert cached == set()
@@ -179,8 +180,9 @@ def test_the_executor_is_constructed_in_one_place():
 
 
 def test_the_run_executor_is_mapped_in_two_places():
-    # a sum deals its classes in one function and a criterion its whole sums
-    # in another; a third map could deal work by a rule of its own
+    # a sum deals its classes in one function, and a criterion its whole
+    # sums, into the run's memo, in another; a third map could deal work by a
+    # rule of its own
     maps = [(path.name, name) for path in SOURCES
             for name in _calls(_tree(path), "map", methods_only=True)]
     assert maps == [("constants.py", "_subset_sum"), ("verify.py", "_prewalk")]

@@ -1,7 +1,7 @@
 """The memo a run keeps for its criteria, the forms they skip over the term
 cap, what criterion 7 enumerates, the one executor a run shares, the batch
-that deals criteria 3 and 4's sums whole, and that each check of a
-criterion can fail, naming its witness."""
+that deals criteria 3 and 4's sums whole into the run's memo, and that each
+check of a criterion can fail, naming its witness."""
 
 import collections
 import dataclasses
@@ -179,10 +179,16 @@ def test_run_all_shares_one_executor_across_its_criteria(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _sums(run):
+    """The (total, nonzero) of each sum in the run's memo, by its key."""
+    return {key: value for key, value in run.memo.items()
+            if key[0] == "sum"}
+
+
 def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
     # SU(1,1) and Sp(4,R) form 1 at lambda = (2, 1) both sum over an empty
-    # pool from the base (4, 2), but their P_K differ: a key without the
-    # case hands one the other's total
+    # pool from the base (4, 2), but their P_K differ: a key without P_K's
+    # packed factors hands one the other's total
     monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
     lam = (Fraction(2), Fraction(1))
     forms = [(case, get_form(case, 1))
@@ -192,22 +198,23 @@ def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
     with constants.worker_pool() as run:
         verify._prewalk([(case, form, lam, "orig") for case, form in forms],
                         DEFAULT_TERM_CAP, 2)
-        assert len(run.walked) == 2
-        # each evaluation takes its pre-walked total instead of a walk
+        walked = _sums(run)
+        assert len(walked) == 2
+        # each evaluation reads its batched total instead of a walk
         monkeypatch.setattr(constants, "_subset_sum", None)
         batched = [verify.cached_constant(case, form, lam, "orig",
                                           DEFAULT_TERM_CAP, 2).lhs
                    for case, form in forms]
-        assert run.walked == {}
+        assert _sums(run) == walked
     assert batched == alone
 
 
 def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
-    # criterion 3 deals its sums whole, in more than one chunk; every total
-    # is taken once, and the report, the evaluations and their subsets and
-    # nonzero terms are those of one worker
+    # criterion 3 deals its sums whole, in more than one chunk; an
+    # evaluation reads every sum in the run's memo, and the report, the
+    # evaluations and their subsets and nonzero terms are those of one worker
     mapped, sums = [], collections.defaultdict(collections.Counter)
-    add = constants.alternating_sum
+    add, memoized, read = constants.alternating_sum, constants._in_run, set()
 
     class Recording(constants.ProcessPoolExecutor):
         def map(self, fn, *iterables):
@@ -219,15 +226,20 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
         sums[args[-1]].update(calls=1, subsets=subsets, nonzero=nonzero)
         return lhs, nonzero, subsets
 
+    def looked_up(key, compute):
+        read.add(key)
+        return memoized(key, compute)
+
     monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(constants, "alternating_sum", counted)
+    monkeypatch.setattr(constants, "_in_run", looked_up)
     reports = []
     for workers in (1, 2):
         with constants.worker_pool() as run:
             reports.append(verify.run_all(max_rank=4, workers=workers,
                                           skip_determinism=True)["criteria"])
-            assert run.walked == {}
+            assert _sums(run) and set(_sums(run)) <= read
     assert reports[0] == reports[1]
     assert sums[1] == sums[2] and sums[1]["calls"] > 0
     assert mapped[0] == ("_walk_sums", 16)
