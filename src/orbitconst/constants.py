@@ -31,14 +31,15 @@ Roots are walked in the order ``rootorder._order`` reads from the sum.
 The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
 roots here and deals the classes reached, scales included, so each state is
-walked once; ``verify`` deals a criterion's whole sums, each walked
-serially, into the run's memo, where ``alternating_sum`` reads them.  Every
-part is an exact integer, so results are bit-identical for any worker
-count.  A ``worker_pool()`` block is one run: it holds the one executor its
-pooled work shares, which the outermost block shuts down, and one memo that
-goes with it: its evaluations and sums, each form's record (root system,
-Levi data, P_{L&K}) and each case's P_K.  A forked worker is in no run.  A
-sum outside any block opens one, and outside one nothing is memoized.
+walked once; ``verify`` maps ``_subset_sum`` over a criterion's whole sums,
+each walked serially, into the run's memo under ``_sum_key``'s key, where
+``alternating_sum`` reads them.  Every part is an exact integer, so results
+are bit-identical for any worker count.  A ``worker_pool()`` block is one
+run: it holds the one executor its pooled work shares, which the outermost
+block shuts down, and one memo that goes with it: its evaluations and sums,
+each sum's deltas once, each form's record (root system, Levi data,
+P_{L&K}) and each case's P_K.  A forked worker is in no run.  A sum outside
+any block opens one, and outside one nothing is memoized.
 """
 
 from __future__ import annotations
@@ -436,8 +437,10 @@ def _form_data(case: GroupCase, form: RealForm | int) -> _FormData:
 
 
 def _processes(workers):
-    """The processes pooled work at ``workers`` is dealt to."""
-    return min(workers, os.cpu_count() or 1)
+    """The processes pooled work at ``workers`` is dealt to: at most the
+    CPUs this process may run on."""
+    return min(workers, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
@@ -511,17 +514,20 @@ def _check_positive(name: str, value) -> None:
 
 def _sum_key(rs, levi, lam, variant, term_cap, workers):
     """The run's key for a sum's (total, nonzero), ("sum", base, deltas,
-    packed, workers), and ``_prepare_enumeration``'s four values.  Refuses a
-    ``workers`` or ``term_cap`` that is not an int of at least 1, then v2
-    unless rho_n(l) is orthogonal to the compact Levi roots, then as
-    ``_prepare_enumeration`` does."""
+    packed, workers), on the run's one copy of the deltas, and
+    ``_prepare_enumeration``'s four values.  Refuses a ``workers`` or
+    ``term_cap`` that is not an int of at least 1, then v2 unless rho_n(l)
+    is orthogonal to the compact Levi roots, then as ``_prepare_enumeration``
+    does."""
     _check_positive("workers", workers)
     _check_positive("term_cap", term_cap)
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")
-    prepared = _prepare_enumeration(rs, levi, lam, variant, term_cap)
-    return ("sum", *prepared[:3], workers), prepared
+    base, deltas, packed, _ = prepared = _prepare_enumeration(
+        rs, levi, lam, variant, term_cap)
+    deltas = _in_run(("deltas", deltas), lambda: deltas)
+    return ("sum", base, deltas, packed, workers), prepared
 
 
 def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,

@@ -15,11 +15,12 @@ case's P_K: the criteria of one run share them, each run computes its own.
 
 Pooled work is dealt in two ways.  A single sum deals its classes
 (``constants._subset_sum``).  Criteria 3 and 4 first collect the
-evaluations they will make, and ``_prewalk`` deals the sums among them that
-the run has not evaluated to the run's executor whole, largest pool first,
-into the run's memo, where each evaluation's ``alternating_sum`` reads its
-sum, so every evaluation still goes through ``cached_constant``.  Criterion
-1 stays one evaluation at a time: its sums at lambda_0 are few and pruned,
+evaluations they will make, and ``_prewalk`` maps ``constants._subset_sum``
+on the run's executor over the sums among them that the run has not
+evaluated, whole, largest pool first, in chunks, into the run's memo under
+each sum's key, where each evaluation's ``alternating_sum`` reads its sum,
+so every evaluation still goes through ``cached_constant``.  Criterion 1
+stays one evaluation at a time: its sums at lambda_0 are few and pruned,
 and criteria 3 and 4 read them from the memo.
 """
 
@@ -53,44 +54,36 @@ def _prewalk(evaluations, term_cap, workers) -> None:
     """Walk, as one batch on the run's executor, the sums of ``evaluations``
     ((case, form, lam, variant) each) that the open run has not evaluated.
 
-    The sums go whole, largest pool first, round-robin into
-    ``_CHUNKS_PER_PROCESS`` chunks per process, each walked serially by
-    ``_walk_sums`` into the run's memo under ``constants._sum_key``.  A sum
-    that key refuses (``TermCapExceeded``, or v2's ``OrthogonalityError``)
-    is left out, so its evaluation raises as it would have.  Outside a run,
-    or at one process, nothing is walked here.
+    The sums' keys (``constants._sum_key``), largest pool first, go
+    round-robin into ``_CHUNKS_PER_PROCESS`` chunks per process of one map
+    of ``constants._subset_sum``, which walks each sum serially into the
+    run's memo under its key.  A sum that key refuses (``TermCapExceeded``,
+    or v2's ``OrthogonalityError``) is left out, so its evaluation raises as
+    it would have.  Outside a run, or at one process, nothing is walked here.
     """
     constants._check_positive("workers", workers)
     run = constants._open_run.get()
     processes = constants._processes(workers)
     if run is None or processes == 1:
         return
-    sums, shared = {}, {}
+    keys = {}  # an ordered set
     for case, form, lam, variant in evaluations:
         if (case, form, lam, variant, term_cap, workers) in run.memo:
             continue
         data = constants._form_data(case, form)
         try:
-            key, (base, deltas, packed, _) = constants._sum_key(
-                data.rs, data.levi, lam, variant, term_cap, workers)
+            key, _ = constants._sum_key(data.rs, data.levi, lam, variant,
+                                        term_cap, workers)
         except (OrthogonalityError, TermCapExceeded):
             continue
-        # the lambdas of one form at one scale share their deltas: keep one
-        sums[key] = base, shared.setdefault(deltas, deltas), packed
-    keys = sorted(sums, key=lambda key: len(sums[key][1]), reverse=True)
+        keys[key] = None
+    keys = sorted(keys, key=lambda key: len(key[2]), reverse=True)
     size = min(len(keys), _CHUNKS_PER_PROCESS * processes)
-    deal = [keys[c::size] for c in range(size)]
-    if deal:
-        chunks = run.get(processes).map(
-            _walk_sums, [[sums[key] for key in chunk] for chunk in deal])
-        for chunk, walked in zip(deal, chunks):
-            run.memo.update(zip(chunk, walked))
-
-
-def _walk_sums(chunk):
-    """One chunk of a batch: each sum, (base, deltas, packed), walked
-    serially by ``constants._subset_sum``, in this process."""
-    return [constants._subset_sum(*walk) for walk in chunk]
+    keys = [key for c in range(size) for key in keys[c::size]]
+    if keys:
+        run.memo.update(zip(keys, run.get(processes).map(
+            constants._subset_sum, *zip(*(key[1:4] for key in keys)),
+            chunksize=-(-len(keys) // size))))
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:

@@ -83,15 +83,98 @@ MUTANTS = (
            ("tests/test_stdlib_only.py::"
             "test_the_executor_is_constructed_in_one_place",)),
     Mutant("workers dropped from the sum key", "constants.py",
-           'return ("sum", *prepared[:3], workers), prepared',
-           'return ("sum", *prepared[:3]), prepared',
+           'return ("sum", base, deltas, packed, workers), prepared',
+           'return ("sum", base, deltas, packed), prepared',
            ("tests/test_constants.py::"
             "test_a_run_walks_a_sum_again_at_another_worker_count",)),
     Mutant("sum key cut to (base, deltas)", "constants.py",
-           'return ("sum", *prepared[:3], workers), prepared',
-           'return ("sum", *prepared[:2]), prepared',
+           'return ("sum", base, deltas, packed, workers), prepared',
+           'return ("sum", base, deltas), prepared',
            ("tests/test_verify.py::"
             "test_a_batch_keys_each_sum_on_what_fixes_it",)),
+    Mutant("sum keyed on its own copy of the deltas", "constants.py",
+           '_in_run(("deltas", deltas), lambda: deltas)', "deltas",
+           ("tests/test_verify.py::"
+            "test_a_runs_sum_keys_hold_one_deltas_tuple_per_value",)),
+    Mutant("a zero-scale class kept", "constants.py",
+           "            if factor:\n", "            if True:\n", (KERNEL,)),
+    Mutant("a memo kept across walks", "constants.py",
+           "memos = [{} for _ in splits]",
+           'memos = _walk.__dict__.setdefault("memos", [{} for _ in range(64)])',
+           ("tests/test_constants.py::"
+            "test_each_position_memoizes_its_own_factors_for_one_walk",)),
+    Mutant("leaf memos kept across walks", "constants.py",
+           "blocks = [(digits, shift, tests, {}, {}) for",
+           "blocks = [(digits, shift, tests,"
+           " *_walk.__dict__.setdefault(digits, ({}, {}))) for", (KERNEL,)),
+    Mutant("auto_sign_relation without the flipped-root parity",
+           "constants.py",
+           "return (-1) ** (flipped + one.levi.big_n + two.levi.big_n)",
+           "return (-1) ** (one.levi.big_n + two.levi.big_n)",
+           ("tests/test_constants.py::test_auto_sign_relation_examples",)),
+    Mutant("no pruning in surviving_terms", "oracles.py",
+           "        if left_out:\n", "        if True:\n",
+           ("tests/test_oracles.py::"
+            "test_surviving_terms_equal_the_naive_enumeration",)),
+    Mutant("surviving_terms reading the run's record", "oracles.py",
+           "    levi = levi_data(rs, form.h)\n    pool =",
+           '    levi = __import__("orbitconst.constants").constants'
+           "._form_data(case, form).levi\n    pool =",
+           ("tests/test_oracle_independence.py::"
+            "test_surviving_terms_classify_the_roots_in_a_warm_run",)),
+    Mutant("criterion 1 agreeing always", "verify.py",
+           'row["agree"] = c_brute == c_closed', 'row["agree"] = True',
+           ("tests/test_verify.py::test_criterion_1_names_a_disagreement",)),
+    Mutant("criterion 2's P1 failure dropped", "verify.py",
+           'bad.append(("P1", p))', "pass",
+           ("tests/test_verify.py::"
+            "test_criterion_2_names_the_polynomial_that_fails",)),
+    Mutant("criterion 2's P2 failure dropped", "verify.py",
+           'bad.append(("P2", q))', "pass",
+           ("tests/test_verify.py::"
+            "test_criterion_2_names_the_polynomial_that_fails",)),
+    Mutant("criterion 3 passing always", "verify.py",
+           "return [] if len(values) == 1 else [",
+           "return [] if True else [",
+           ("tests/test_verify.py::"
+            "test_criterion_3_names_a_lambda_dependent_form",)),
+    Mutant("criterion 4's orthogonality failure dropped", "verify.py",
+           'return [(str(case), form.index, "orthogonality")]', "return []",
+           ("tests/test_verify.py::"
+            "test_criterion_4_reports_orthogonality_over_the_term_cap",)),
+    Mutant("criterion 4's mismatch failure dropped", "verify.py",
+           "return [] if orig == v2 else [", "return [] if True else [",
+           ("tests/test_verify.py::"
+            "test_criterion_4_names_a_form_whose_sums_disagree",)),
+    Mutant("criterion 5's failure dropped", "verify.py",
+           "bad.append((str(case), [str(x) for x in lam], str(lhs)))", "pass",
+           ("tests/test_verify.py::test_criterion_5_names_a_nonzero_sum",)),
+    Mutant("criterion 6's failure dropped", "verify.py",
+           "if sign != expected or sign * c1 != c2:", "if False:",
+           ("tests/test_verify.py::"
+            "test_criterion_6_checks_the_flip_pairs_and_their_signs",)),
+    Mutant("criterion 7's oracle failure dropped", "verify.py",
+           "                case, form, survivors=survivors):\n"
+           "            return [(",
+           "                case, form, survivors=survivors):\n"
+           "            return [] and [(",
+           ("tests/test_verify.py::"
+            "test_criterion_7_names_an_oracle_mismatch",)),
+    Mutant("criterion 7's count failure dropped", "verify.py",
+           'bad.append((str(case), form.index, "count"))', "pass",
+           ("tests/test_verify.py::"
+            "test_criterion_7_names_a_survivor_count_off_the_closed_form",)),
+    Mutant("criterion 7's value failure dropped", "verify.py",
+           'bad.append((str(case), form.index, "value not +-1"))', "pass",
+           ("tests/test_verify.py::"
+            "test_criterion_7_names_a_survivor_off_the_shuffle",)),
+    Mutant("criterion 7's #A failure dropped", "verify.py",
+           'bad.append((str(case), form.index, "#A != pq/2"))', "pass",
+           ("tests/test_verify.py::"
+            "test_criterion_7_names_a_survivor_off_the_shuffle",)),
+    Mutant("criterion 8's failure dropped", "verify.py",
+           "bad.append((str(case), count, expect))", "pass",
+           ("tests/test_verify.py::test_criterion_8_names_a_wrong_form_count",)),
 )
 
 

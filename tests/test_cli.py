@@ -261,7 +261,7 @@ def test_a_command_starts_one_executor_and_shuts_it_down(capsys, monkeypatch,
     def broken(case, form):
         raise ValueError("on purpose")
 
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
     if fails:
         monkeypatch.setattr(cli, "_big_n", broken)

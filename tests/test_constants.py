@@ -692,9 +692,30 @@ def test_one_cpu_sums_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0})
     monkeypatch.setattr(constants, "ProcessPoolExecutor", no_pool)
     assert _subset_sum(base, deltas, packed, workers=2) == expected
+
+
+def test_a_sum_pools_only_on_the_cpus_this_process_may_run_on(monkeypatch):
+    # two CPUs on the machine, one of them this process's: a pool of two
+    # would share one CPU
+    base, deltas, packed = _sum_of_4096()
+    expected = _subset_sum(base, deltas, packed)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0})
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", no_pool)
+    assert constants._processes(2) == 1
+    assert _subset_sum(base, deltas, packed, workers=2) == expected
+    # where the CPUs a process may run on are not known, all of them count
+    monkeypatch.delattr(constants.os, "sched_getaffinity")
+    assert constants._processes(8) == 2
+    monkeypatch.setattr(constants.os, "cpu_count", lambda: None)
+    assert constants._processes(8) == 1
 
 
 def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
@@ -711,7 +732,7 @@ def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
             mapped.append(len(chunks))
             return super().map(fn, plans, chunks)
 
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
     assert _subset_sum(base, deltas, packed, workers=8) == expected
     assert started == [2] and mapped == [8]
@@ -886,7 +907,7 @@ def test_a_run_walks_a_sum_again_at_another_worker_count(monkeypatch):
         started.append(kwargs)
         return executor(*args, **kwargs)
 
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
     monkeypatch.setattr(constants, "_subset_sum", walked)
     monkeypatch.setattr(constants, "ProcessPoolExecutor", counted)
     case = GroupCase.so_odd(3, 3)  # form 1 sums over 2^12 subsets

@@ -6,10 +6,11 @@ one function, ``constants._subset_sum``, walks the kernel (``_walk``),
 one method, ``constants._Run.get``, constructs the run's
 ``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
 ``constants._subset_sum``, a criterion's whole sums, into the run's one
-memo, in ``verify._prewalk``),
-one function, ``constants._processes``, reads the CPU count, one
-function, ``weylpoly.make_dim_poly``, packs roots into factors
-(``_pack_roots``), and no module writes a float literal or reads ``float``."""
+memo, in ``verify._prewalk``), two functions write that memo
+(``constants._in_run`` and ``verify._prewalk``), one function,
+``constants._processes``, reads the CPU count, one function,
+``weylpoly.make_dim_poly``, packs roots into factors (``_pack_roots``), and
+no module writes a float literal or reads ``float``."""
 
 import ast
 import pathlib
@@ -189,10 +190,45 @@ def test_the_run_executor_is_mapped_in_two_places():
 
 
 def test_the_process_count_is_decided_in_one_place():
-    # the sums and the batch take min(workers, CPUs) from one helper
-    reads = [(path.name, name) for path in SOURCES
-             for name in _calls(_tree(path), "cpu_count")]
-    assert reads == [("constants.py", "_processes")]
+    # the sums and the batch take min(workers, CPUs) from one helper, which
+    # counts the CPUs this process may run on where it can
+    reads = [(path.name, call, name) for path in SOURCES
+             for call in ("sched_getaffinity", "cpu_count")
+             for name in _calls(_tree(path), call)]
+    assert reads == [("constants.py", "sched_getaffinity", "_processes"),
+                     ("constants.py", "cpu_count", "_processes")]
+
+
+def _memo_writes(tree):
+    """Functions of one source file that store into ``<x>.memo[...]`` or call
+    a method of ``<x>.memo`` that changes it, named as ``_calls`` names
+    them."""
+    changes = {"update", "setdefault", "pop", "popitem", "clear"}
+
+    def is_memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "memo"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope += (node.name,)
+        elif ((isinstance(node, ast.Subscript) and is_memo(node.value)
+               and isinstance(node.ctx, (ast.Store, ast.Del)))
+              or (isinstance(node, ast.Attribute) and node.attr in changes
+                  and is_memo(node.value))):
+            yield ".".join(scope) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    yield from visit(tree, ())
+
+
+def test_the_run_memo_is_written_in_two_places():
+    # every memoized value goes in through one helper, and a batch's sums,
+    # under the keys that helper reads, in the other; a third writer could
+    # file a value under a key no reader builds
+    writes = [(path.name, name) for path in SOURCES
+              for name in _memo_writes(_tree(path))]
+    assert writes == [("constants.py", "_in_run"), ("verify.py", "_prewalk")]
 
 
 def test_roots_are_packed_in_one_place():

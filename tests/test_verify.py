@@ -1,7 +1,8 @@
 """The memo a run keeps for its criteria, the forms they skip over the term
 cap, what criterion 7 enumerates, the one executor a run shares, the batch
-that deals criteria 3 and 4's sums whole into the run's memo, and that each
-check of a criterion can fail, naming its witness."""
+that deals criteria 3 and 4's sums whole into the run's memo on one copy of
+each sum's deltas, and that each check of a criterion can fail, naming its
+witness."""
 
 import collections
 import dataclasses
@@ -189,7 +190,7 @@ def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
     # SU(1,1) and Sp(4,R) form 1 at lambda = (2, 1) both sum over an empty
     # pool from the base (4, 2), but their P_K differ: a key without P_K's
     # packed factors hands one the other's total
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
     lam = (Fraction(2), Fraction(1))
     forms = [(case, get_form(case, 1))
              for case in (GroupCase.su(1, 1), GroupCase.sp(2))]
@@ -217,9 +218,9 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
     add, memoized, read = constants.alternating_sum, constants._in_run, set()
 
     class Recording(constants.ProcessPoolExecutor):
-        def map(self, fn, *iterables):
-            mapped.append((fn.__name__, len(iterables[0])))
-            return super().map(fn, *iterables)
+        def map(self, fn, *iterables, chunksize=1):
+            mapped.append((fn.__name__, len(iterables[0]), chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize)
 
     def counted(*args):
         lhs, nonzero, subsets = add(*args)
@@ -230,7 +231,7 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
         read.add(key)
         return memoized(key, compute)
 
-    monkeypatch.setattr(constants.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(constants, "alternating_sum", counted)
     monkeypatch.setattr(constants, "_in_run", looked_up)
@@ -242,9 +243,22 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
             assert _sums(run) and set(_sums(run)) <= read
     assert reports[0] == reports[1]
     assert sums[1] == sums[2] and sums[1]["calls"] > 0
-    assert mapped[0] == ("_walk_sums", 16)
-    assert all(name == "_walk_sums" and chunks > 1 for name, chunks in mapped)
+    # 88 sums in 8 chunks per process of 2: 15 chunks of up to 6 sums
+    assert mapped[0] == ("_subset_sum", 88, 6)
+    assert all(name == "_subset_sum" and sums > chunksize
+               for name, sums, chunksize in mapped)
     assert multiprocessing.active_children() == []
+
+
+def test_a_runs_sum_keys_hold_one_deltas_tuple_per_value():
+    # the lambdas of a form at one scale share their deltas, and a run keeps
+    # one copy of each value for all the sums that name it, in the batch
+    # and one evaluation at a time alike
+    for workers in (1, 2):
+        with constants.worker_pool() as run:
+            verify.criterion_3(max_rank=3, workers=workers)
+            deltas = [key[2] for key in _sums(run)]
+        assert len({id(d) for d in deltas}) == len(set(deltas)) < len(deltas)
 
 
 def _failed(result) -> list:
@@ -257,6 +271,57 @@ def test_criterion_2_names_the_polynomial_that_fails(monkeypatch):
     monkeypatch.setattr(verify, "eval_dim_poly",
                         lambda poly, lam: evaluate(poly, lam) + (len(lam) == 3))
     assert _failed(verify.criterion_2()) == [("P1", 3), ("P2", 3)]
+
+
+def _closed_form_plus_one(monkeypatch, case, index) -> int:
+    """Shift the closed form ``verify`` reads for one form by one; returns
+    the form's true closed form."""
+    closed = verify.constant_closed_form
+    monkeypatch.setattr(verify, "constant_closed_form", lambda c, form: (
+        closed(c, form) + ((c, form.index) == (case, index))))
+    return closed(case, index)
+
+
+def _constant_plus_one(monkeypatch, *where) -> None:
+    """Shift by one the constant of every evaluation whose key starts with
+    ``where``: its LHS gains P_{L&K}(lambda)."""
+    evaluate = verify.cached_constant
+
+    def shifted(*key):
+        ev = evaluate(*key)
+        return (dataclasses.replace(ev, lhs=ev.lhs + ev.plk)
+                if key[:len(where)] == where else ev)
+
+    monkeypatch.setattr(verify, "cached_constant", shifted)
+
+
+def test_criterion_1_names_a_disagreement(monkeypatch):
+    case = GroupCase.sp(2)
+    c = _closed_form_plus_one(monkeypatch, case, 1)
+    result = verify.criterion_1(max_rank=2)
+    assert result["passed"] is False
+    assert result["details"]["disagreements"] == [
+        {"case": str(case), "index": 1, "cBrute": c, "cClosed": c + 1}]
+
+
+def test_criterion_3_names_a_lambda_dependent_form(monkeypatch):
+    case = GroupCase.sp(2)
+    form = get_form(case, 1)
+    lam = constants.lambda_candidates(case, form, count=3, seed=0)[1]
+    _constant_plus_one(monkeypatch, case, form, lam)
+    c = verify.constant_closed_form(case, form)
+    assert _failed(verify.criterion_3(max_rank=2)) == [
+        (str(case), form.index, [c, c + 1])]
+
+
+def test_criterion_4_names_a_form_whose_sums_disagree(monkeypatch):
+    case = GroupCase.sp(2)
+    form = get_form(case, 1)
+    _constant_plus_one(monkeypatch, case, form, default_lambda(case, form),
+                       "v2")
+    c = verify.constant_closed_form(case, form)
+    assert _failed(verify.criterion_4(max_rank=2)) == [
+        (str(case), form.index, (c, c + 1))]
 
 
 def test_criterion_5_names_a_nonzero_sum(monkeypatch):
@@ -308,6 +373,13 @@ def test_criterion_7_names_a_survivor_off_the_shuffle(monkeypatch, change,
     monkeypatch.setattr(oracles, "check_oracle_against_brute_force",
                         lambda c, form, survivors: True)
     assert _failed(verify.criterion_7(max_rank=3)) == [(str(case), 2, witness)]
+
+
+def test_criterion_7_names_a_survivor_count_off_the_closed_form(
+        monkeypatch):
+    case = GroupCase.sp(3)
+    _closed_form_plus_one(monkeypatch, case, 2)
+    assert _failed(verify.criterion_7(max_rank=3)) == [(str(case), 2, "count")]
 
 
 def test_criterion_8_names_a_wrong_form_count(monkeypatch):
