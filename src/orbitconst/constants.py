@@ -20,13 +20,15 @@ Evaluation is exact: weights are scaled to integer vectors, each subset term
 is an integer product, and the single division at the end is checked to be an
 exact integer.  The sum over subsets is a dynamic program over partial sums
 (``_walk``): subsets with equal partial weight vectors merge into signed and
-unsigned counts, states split into independent classes once a coordinate is
-final, and each P_K factor ``weylpoly.make_dim_poly`` packs is tested in one
-place: where it finishes early, once per distinct digits at that position as
-a class opens (a zero drops the class before it is filled), else per block
-of factors that share no coordinate, which the leaf reads at each state and
-at the state plus the last root, so the last position's dict is never
-built; each memo lasts one walk (``_Plan``).
+unsigned counts, and states split into independent classes once a coordinate
+is final.  The root that finishes it is added as the states are dealt
+(``_open``), so that position's dict is never built and a class is never
+filled with states its zero scale drops.  Each P_K factor
+``weylpoly.make_dim_poly`` packs is tested in one place: where it finishes
+early, once per distinct digits at that position as a class opens, else per
+block of factors that share no coordinate, which the leaf reads at each
+state and at the state plus the last root, so the last position's dict is
+not built either; each memo lasts one walk (``_Plan``).
 Roots are walked in the order ``rootorder._order`` reads from the sum.
 The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
@@ -250,21 +252,26 @@ def _blocks(tests: Sequence[tuple], mask: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(blocks)
 
 
-def _open(plan: _Plan, states: dict, pos: int, scale: int,
-          memo: dict) -> list[tuple[dict, int, int]]:
-    """Split ``states`` into classes by the digits finished after ``pos`` roots.
+def _open(plan: _Plan, states: dict, pos: int, scale: int, memo: dict,
+          step: int | None = None) -> list[tuple[dict, int, int]]:
+    """Split ``states``, plus root ``step`` if given, into classes by the
+    digits finished after ``pos`` roots.
 
     ``states`` maps a packed partial sum to (signed, unsigned) subset counts.
-    A class's scale is ``scale`` times the factors ``finish[pos]`` on its
-    digits, taken from ``memo`` (position ``pos``'s, keyed on those digits)
-    when its first state arrives; a class whose scale is 0 is dropped before
-    it is filled.  Returns (states, pos, scale) classes: states of different
-    classes never merge again.
+    With a ``step`` (root ``pos - 1``), each state is dealt as it is and
+    then plus the step, with the opposite sign, merged where the sum meets
+    a state, so the position's dict is never built.  A class's scale is
+    ``scale`` times the factors ``finish[pos]`` on its digits, taken from
+    ``memo`` (position ``pos``'s, keyed on those digits) when its first
+    state arrives; a class whose scale is 0 is dropped before it is filled.
+    Returns (states, pos, scale) classes: states of different classes never
+    merge again.
     """
     cut, mask = plan.cut[pos], plan.mask
     digits, tests = plan.finish[pos]
     classes: dict[int, dict | bool] = {}  # False marks a dropped class
     opened = []
+    # the states as they are: distinct keys, so no merge
     for key, value in states.items():
         members = classes.get(key & cut)
         if members is None:
@@ -277,6 +284,24 @@ def _open(plan: _Plan, states: dict, pos: int, scale: int,
                 opened.append((members, pos, scale * factor))
         if members is not False:
             members[key] = value
+    if step is None:
+        return opened
+    # the states plus the step, merged where they meet a state above
+    for key, (signed, count) in states.items():
+        new = key + step
+        members = classes.get(new & cut)
+        if members is None:
+            sub = new & digits
+            factor = memo.get(sub)
+            if factor is None:
+                factor = memo[sub] = _factors(tests, sub, mask)
+            members = classes[new & cut] = {} if factor else False
+            if factor:
+                opened.append((members, pos, scale * factor))
+        if members is not False:
+            old = members.get(new)
+            members[new] = ((-signed, count) if old is None
+                            else (old[0] - signed, old[1] + count))
     return opened
 
 
@@ -296,13 +321,15 @@ def _walk(plan: _Plan, stack: list,
     splitting them where digits finish, with one ``_open`` memo per position
     for this call.
 
-    A walk to the last root stops one root short: the leaf reads each state
-    k at k and at k plus the last root, whose subsets have the opposite
-    sign, so a class adds its scale times the sum of its states'
-    signed * (F(k) - F(k + last)), F the product of the blocks, and the last
-    position's dict is never built.  Each block memoizes, for this call, its
-    value on its digits, so each digit string is evaluated once, and the
-    pair of values at a state's digits, so a state reads both in one lookup.
+    Where the root just added splits the states, ``_open`` adds it as it
+    deals them, so no dict of that position is built.  A walk to the last
+    root stops one root short: the leaf reads each state k at k and at k
+    plus the last root, whose subsets have the opposite sign, so a class
+    adds its scale times the sum of its states' signed * (F(k) - F(k +
+    last)), F the product of the blocks, and the last position's dict is
+    never built.  Each block memoizes, for this call, its value on its
+    digits, so each digit string is evaluated once, and the pair of values
+    at a state's digits, so a state reads both in one lookup.
     A zero product is not a nonzero term.  With no roots the leaf reads the
     base alone.  Returns (total, nonzero-term count, frontier): the frontier
     holds the classes that stop short of the last root.
@@ -319,8 +346,13 @@ def _walk(plan: _Plan, stack: list,
     while stack:
         states, pos, scale = stack.pop()
         while pos < stop - fold:
-            # add root ``pos`` to every subset
-            step, out = steps[pos], dict(states)
+            # add root ``pos`` to every subset, in ``_open`` at a split
+            step = steps[pos]
+            pos += 1
+            if splits[pos]:
+                stack += _open(plan, states, pos, scale, memos[pos], step)
+                break
+            out = dict(states)
             get = out.get
             for key, (signed, count) in states.items():
                 new = key + step
@@ -328,10 +360,6 @@ def _walk(plan: _Plan, stack: list,
                 out[new] = ((-signed, count) if old is None
                             else (old[0] - signed, old[1] + count))
             states = out
-            pos += 1
-            if splits[pos]:
-                stack += _open(plan, states, pos, scale, memos[pos])
-                break
         else:
             if stop < m:
                 frontier.append((states, pos, scale))

@@ -37,6 +37,8 @@ class Mutant(NamedTuple):
 
 
 KERNEL = "tests/test_constants.py::test_kernel_matches_naive_reference"
+SPLIT = ("tests/test_constants.py::"
+         "test_a_split_adds_its_root_as_the_built_dict_would")
 
 MUTANTS = (
     Mutant("shift masked from the packed root", "constants.py",
@@ -64,11 +66,30 @@ MUTANTS = (
            "return 2 * math.lcm(", "return 2.0 * math.lcm(",
            ("tests/test_stdlib_only.py::test_no_module_uses_a_float",)),
     Mutant("no sign flip on the added root", "constants.py",
-           "((-signed, count) if old is None",
-           "((signed, count) if old is None", (KERNEL,)),
+           "out[new] = ((-signed, count) if old is None",
+           "out[new] = ((signed, count) if old is None", (KERNEL,)),
+    Mutant("no sign flip on the root a split adds", "constants.py",
+           "members[new] = ((-signed, count) if old is None",
+           "members[new] = ((signed, count) if old is None", (KERNEL, SPLIT)),
+    Mutant("the root a split adds overwriting the state it meets",
+           "constants.py", "old = members.get(new)", "old = None",
+           (KERNEL, SPLIT)),
     Mutant("class scale not multiplied in", "constants.py",
-           "opened.append((members, pos, scale * factor))",
-           "opened.append((members, pos, scale))", (KERNEL,)),
+           "classes[key & cut] = {} if factor else False\n"
+           "            if factor:\n"
+           "                opened.append((members, pos, scale * factor))",
+           "classes[key & cut] = {} if factor else False\n"
+           "            if factor:\n"
+           "                opened.append((members, pos, scale))", (KERNEL,)),
+    Mutant("class scale not multiplied in where a split adds its root",
+           "constants.py",
+           "classes[new & cut] = {} if factor else False\n"
+           "            if factor:\n"
+           "                opened.append((members, pos, scale * factor))",
+           "classes[new & cut] = {} if factor else False\n"
+           "            if factor:\n"
+           "                opened.append((members, pos, scale))",
+           (KERNEL, SPLIT)),
     Mutant("digit width too narrow", "constants.py",
            "width = (2 * bound + 1).bit_length()",
            "width = bound.bit_length()", (KERNEL,)),
@@ -97,7 +118,16 @@ MUTANTS = (
            ("tests/test_verify.py::"
             "test_a_runs_sum_keys_hold_one_deltas_tuple_per_value",)),
     Mutant("a zero-scale class kept", "constants.py",
-           "            if factor:\n", "            if True:\n", (KERNEL,)),
+           "classes[key & cut] = {} if factor else False\n"
+           "            if factor:\n",
+           "classes[key & cut] = {} if factor else False\n"
+           "            if True:\n", (KERNEL,)),
+    Mutant("a zero-scale class kept where a split adds its root",
+           "constants.py",
+           "classes[new & cut] = {} if factor else False\n"
+           "            if factor:\n",
+           "classes[new & cut] = {} if factor else False\n"
+           "            if True:\n", (KERNEL, SPLIT)),
     Mutant("a memo kept across walks", "constants.py",
            "memos = [{} for _ in splits]",
            'memos = _walk.__dict__.setdefault("memos", [{} for _ in range(64)])',
@@ -107,6 +137,10 @@ MUTANTS = (
            "blocks = [(digits, shift, tests, {}, {}) for",
            "blocks = [(digits, shift, tests,"
            " *_walk.__dict__.setdefault(digits, ({}, {}))) for", (KERNEL,)),
+    Mutant("one pair of leaf memos shared by all blocks", "constants.py",
+           "blocks = [(digits, shift, tests, {}, {}) for",
+           "blocks = [(digits, shift, tests, *shared)"
+           " for shared in [({}, {})] for", (KERNEL,)),
     Mutant("auto_sign_relation without the flipped-root parity",
            "constants.py",
            "return (-1) ** (flipped + one.levi.big_n + two.levi.big_n)",

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
@@ -445,6 +445,10 @@ def _sums(draw):
 # chunks, and each chunk reads the last root in its leaf
 @example(((1, 1, 1), ((1, 0, 0), (0, 1, 0), (0, 1, -1)),
           ((0, 1, 0, 0), (1, 1, 1, 0), (1, 1, 2, -1))), 2, 2)
+# two leaf blocks, v_0 and 2 v_1, whose digits both read 0 at the base
+# plus the last root (-1 - 1 = -2, the bound): a value memo shared by the
+# blocks gives 2 v_1 = -4 there the value -2 of v_0's block
+@example(((-1, -1), ((-1, -1),), ((0, 1, 0, 0), (1, 2, 1, 0))), 0, 1)
 def test_kernel_matches_naive_reference(data, depth, chunks):
     base, deltas, packed = data
     expected = _naive_sum(base, deltas, packed)
@@ -466,6 +470,41 @@ def test_kernel_matches_naive_reference(data, depth, chunks):
     parts = [_walk(plan, chunk)[:2] for chunk in dealt]
     assert (total + sum(t for t, _ in parts),
             nonzero + sum(n for _, n in parts)) == expected
+
+
+def _added(states, step):
+    """``states`` plus root ``step``, built as one dict: each state as it
+    is, then each plus the step with the opposite sign, merged where the
+    sum meets a state."""
+    out = dict(states)
+    for key, (signed, count) in states.items():
+        old = out.get(key + step)
+        out[key + step] = ((-signed, count) if old is None
+                           else (old[0] - signed, old[1] + count))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sums(), st.data())
+def test_a_split_adds_its_root_as_the_built_dict_would(data, draw):
+    # at a split ``_open`` adds the root itself and builds no dict; it must
+    # deal the classes that dealing the built dict deals, in the same order,
+    # each with the same states in the same order and the same scale
+    plan = _plan(*data)
+    assume(plan is not None and any(plan.splits))
+    pos = draw.draw(st.sampled_from(
+        [p for p, split in enumerate(plan.splits) if split]))
+    states = {plan.base: (1, 1)}
+    for step in plan.steps[:pos - 1]:
+        states = _added(states, step)
+    scale, step = draw.draw(st.integers(1, 3)), plan.steps[pos - 1]
+
+    def dealt(classes):
+        return [(list(members.items()), at, factor)
+                for members, at, factor in classes]
+
+    assert dealt(_open(plan, states, pos, scale, {}, step)) == dealt(
+        _open(plan, _added(states, step), pos, scale, {}))
 
 
 def _permuted(data, coords, roots):
