@@ -46,7 +46,7 @@ any block opens one, and outside one nothing is memoized.
 
 from __future__ import annotations
 
-import math
+import operator
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -58,8 +58,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .orbits import RealForm, flip_source, get_form
 from .rootorder import _order
-from .rootsys import (GroupCase, Root, RootSystem, Weight, build_root_system,
-                      flip, half_sum, pair)
+from .rootsys import (GroupCase, Root, RootSystem, Weight, _integral,
+                      build_root_system, flip, half_sum, pairings)
 from .weylpoly import DimPoly, eval_dim_poly, make_dim_poly
 
 DEFAULT_TERM_CAP = 1 << 24
@@ -140,7 +140,7 @@ def levi_data(rs: RootSystem, h: Sequence[int]) -> LeviData:
         raise ValueError(f"h has length {len(h)} but {rs.case} has rank "
                          f"{rs.case.rank}")
     compact = rs.compact_set()
-    on_h = {a: sum(c * x for c, x in zip(a, h)) for a in rs.all_roots()}
+    on_h = {a: sum(map(operator.mul, a, h)) for a in rs.all_roots()}
     delta_n = tuple(a for a in rs.noncompact_positive if on_h[a] == 0)
     delta_p1 = tuple(sorted(
         a for a in on_h if a not in compact and on_h[a] == 1))
@@ -152,7 +152,7 @@ def levi_data(rs: RootSystem, h: Sequence[int]) -> LeviData:
 
 def rho_n_orthogonal(levi: LeviData) -> bool:
     """Whether rho_n(l) pairs to zero with every compact Levi root."""
-    return all(pair(levi.rho_n_l, a) == 0 for a in levi.delta_lk_plus)
+    return not any(pairings(levi.rho_n_l, levi.delta_lk_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +432,19 @@ def worker_pool() -> Iterator[_Run]:
             executor.shutdown(cancel_futures=True)
 
 
+_MISSING = object()  # no memoized value is this object
+
+
 def _in_run(key, compute):
     """``compute()``, memoized on ``key`` in the open run; outside any
     ``worker_pool()`` block it is called afresh, so nothing is kept."""
     run = _open_run.get()
     if run is None:
         return compute()
-    if key not in run.memo:
-        run.memo[key] = compute()
-    return run.memo[key]
+    value = run.memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = run.memo[key] = compute()
+    return value
 
 
 class _FormData(NamedTuple):
@@ -505,7 +509,9 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
 
 
 def _scale_for(lam: Weight) -> int:
-    return 2 * math.lcm(*(Fraction(x).denominator for x in lam), 1)
+    """Twice the lcm of lam's denominators: it scales lam and rho_n(l), a
+    half sum of roots, to integers."""
+    return 2 * _integral(lam)[1]
 
 
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
@@ -518,17 +524,19 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     count = 1 << (len(levi.delta_n_plus_l) + len(levi.delta_p1))
     if count > term_cap:
         raise TermCapExceeded(count, term_cap)
-    scale = _scale_for(lam)
-    base = [int(scale * Fraction(x)) for x in lam]
+    v, den = _integral(lam)
+    scale = 2 * den  # _scale_for(lam), which oracles divides by
+    base = [2 * x for x in v]
     if variant == "orig":
-        base = [b - int(scale * r) for b, r in zip(base, levi.rho_n_l)]
+        base = [b - r.numerator * (scale // r.denominator)
+                for b, r in zip(base, levi.rho_n_l)]
         deltas = [tuple(scale * c for c in a) for a in levi.delta_n_plus_l]
     else:
         deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
     pk = _in_run(("P_K", rs.case),
                  lambda: make_dim_poly(rs.compact_positive, rs.case.rank))
-    pk_denominator = Fraction(scale) ** len(pk.factors) * pk.norm
+    pk_denominator = scale ** len(pk.factors) * pk.norm
     return tuple(base), tuple(deltas), pk.factors, pk_denominator
 
 
@@ -580,7 +588,7 @@ def levi_k_poly(rs: RootSystem, levi: LeviData) -> DimPoly:
 
 
 def _as_weight(lam: Sequence) -> Weight:
-    return tuple(Fraction(x) for x in lam)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in lam)
 
 
 def _constant(case: GroupCase, form: RealForm | int, lam: Sequence | None,

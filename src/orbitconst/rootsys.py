@@ -20,6 +20,7 @@ processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -189,17 +190,26 @@ def pair(w: Sequence, r: Sequence) -> Fraction:
     The products are summed as integers over the common denominator of w,
     and one Fraction is built at the end.
     """
-    if len(w) != len(r):
-        raise ValueError(f"length mismatch: {len(w)} vs {len(r)}")
+    return pairings(w, (r,))[0]
+
+
+def pairings(w: Sequence, roots: Iterable[Sequence]) -> tuple[Fraction, ...]:
+    """``pair(w, r)`` for each r in ``roots``, with w made integral once."""
     v, den = _integral(w)
-    return Fraction(sum(a * b for a, b in zip(v, r)), den)
+    out = []
+    for r in roots:
+        if len(v) != len(r):
+            raise ValueError(f"length mismatch: {len(v)} vs {len(r)}")
+        out.append(Fraction(sum(map(operator.mul, v, r)), den))
+    return tuple(out)
 
 
 def _integral(w: Sequence) -> tuple[list[int], int]:
     """(den * w, den) with den the lcm of the denominators of w's entries."""
-    w = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in w]
-    den = math.lcm(*(a.denominator for a in w))
-    return [a.numerator * (den // a.denominator) for a in w], den
+    ratios = [(a if isinstance(a, (int, Fraction)) else Fraction(a))
+              .as_integer_ratio() for a in w]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def half_sum(roots: Iterable[Sequence[int]], rank: int) -> Weight:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootsys import Root, Weight, _integral, half_sum, pair
+from .rootsys import Root, Weight, _integral, half_sum, pairings
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def make_dim_poly(roots: Sequence[Root], rank: int) -> DimPoly:
     roots = tuple(roots)
     factors = _pack_roots(roots)
     rho = half_sum(roots, rank)
-    denoms = tuple(pair(rho, a) for a in roots)
+    denoms = pairings(rho, roots)
     if any(d == 0 for d in denoms):
         raise ValueError("zero denominator: not a valid positive system")
     return DimPoly(factors, rank, rho, denoms, Fraction(math.prod(denoms)))

@@ -39,6 +39,9 @@ class Mutant(NamedTuple):
 KERNEL = "tests/test_constants.py::test_kernel_matches_naive_reference"
 SPLIT = ("tests/test_constants.py::"
          "test_a_split_adds_its_root_as_the_built_dict_would")
+SET_UP = ("tests/test_constants.py::"
+          "test_the_integer_set_up_matches_the_fraction_formulas")
+GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden"
 
 MUTANTS = (
     Mutant("shift masked from the packed root", "constants.py",
@@ -63,7 +66,7 @@ MUTANTS = (
            ("tests/test_constants.py::"
             "test_each_position_memoizes_its_own_factors_for_one_walk",)),
     Mutant("a float literal", "constants.py",
-           "return 2 * math.lcm(", "return 2.0 * math.lcm(",
+           "scale = 2 * den", "scale = 2.0 * den",
            ("tests/test_stdlib_only.py::test_no_module_uses_a_float",)),
     Mutant("no sign flip on the added root", "constants.py",
            "out[new] = ((-signed, count) if old is None",
@@ -209,6 +212,32 @@ MUTANTS = (
     Mutant("criterion 8's failure dropped", "verify.py",
            "bad.append((str(case), count, expect))", "pass",
            ("tests/test_verify.py::test_criterion_8_names_a_wrong_form_count",)),
+    Mutant("rho_n(l) shift scaled by den, not scale", "constants.py",
+           "r.numerator * (scale // r.denominator)",
+           "r.numerator * (den // r.denominator)", (SET_UP,)),
+    Mutant("pairings over a wrong denominator", "rootsys.py",
+           "out.append(Fraction(sum(map(operator.mul, v, r)), den))",
+           "out.append(Fraction(sum(map(operator.mul, v, r)), 2 * den))",
+           ("tests/test_weylpoly.py::test_value_one_at_rho_prime",)),
+    Mutant("the run computing a key again on every hit", "constants.py",
+           "if value is _MISSING:", "if True:",
+           ("tests/test_constants.py::"
+            "test_a_run_computes_each_key_once_whatever_its_value",)),
+    Mutant("root order's zero share over len(left) + len(right)",
+           "rootorder.py", "len(left) * len(right)", "len(left) + len(right)",
+           ("tests/test_constants.py::"
+            "test_the_zero_share_is_over_the_pairs_of_values",)),
+    Mutant("su tableau with q + p one-box rows", "orbits.py",
+           '[(1, "-")] * (q - p)', '[(1, "-")] * (q + p)',
+           (GOLDEN + "[real-forms-su-2-3]",)),
+    Mutant("so* tableau parity turned", "orbits.py",
+           "if n % 2 == 0:\n        return SignedTableau(",
+           "if n % 2 != 0:\n        return SignedTableau(",
+           (GOLDEN + "[real-forms-so-star-3]",)),
+    Mutant("type-D last simple root 2 e_(m-1) + e_m", "orbits.py",
+           "simples.append(_e2(m, m - 2, 1, m - 1, 1))",
+           "simples.append(_e2(m, m - 2, 2, m - 1, 1))",
+           (GOLDEN + "[real-forms-so-even-2-2]",)),
 )
 
 

@@ -20,9 +20,9 @@ from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
                         rho_n_orthogonal)
 from orbitconst import constants, oracles
 from orbitconst.constants import (DEFAULT_TERM_CAP, _blocks, _constant,
-                                  _form_data, _open, _plan,
-                                  _prepare_enumeration, _subset_sum, _walk,
-                                  worker_pool)
+                                  _form_data, _in_run, _open, _plan,
+                                  _prepare_enumeration, _scale_for,
+                                  _subset_sum, _walk, worker_pool)
 from orbitconst.rootorder import _order
 from orbitconst.verify import acceptance_cases
 from orbitconst.weylpoly import _pack_roots
@@ -376,6 +376,44 @@ def test_an_unknown_variant_is_refused_before_the_cap():
             oracles.surviving_terms(case, 3, variant="bogus", term_cap=cap)
 
 
+def _fraction_enumeration(rs, levi, lam, variant):
+    """``_prepare_enumeration``'s four values by the Fraction formulas: lam
+    and rho_n(l) scaled entry by entry."""
+    scale = 2 * math.lcm(*(Fraction(x).denominator for x in lam), 1)
+    base = [int(scale * Fraction(x)) for x in lam]
+    if variant == "orig":
+        base = [b - int(scale * r) for b, r in zip(base, levi.rho_n_l)]
+        deltas = [tuple(scale * c for c in a) for a in levi.delta_n_plus_l]
+    else:
+        deltas = [tuple(-scale * c for c in a) for a in levi.delta_n_plus_l]
+    deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
+    pk = make_dim_poly(rs.compact_positive, rs.case.rank)
+    return (tuple(base), tuple(deltas), pk.factors,
+            Fraction(scale) ** len(pk.factors) * pk.norm)
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9),
+                     st.fractions(-9, 9, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms([case for case in acceptance_cases() if case.rank <= 5]),
+       st.data())
+def test_the_integer_set_up_matches_the_fraction_formulas(case_form, draw):
+    case, form = case_form
+    lam = tuple(draw.draw(st.lists(_ENTRIES, min_size=case.rank,
+                                   max_size=case.rank)))
+    rs = build_root_system(case)
+    levi = levi_data(rs, form.h)
+    assert _scale_for(lam) == \
+        2 * math.lcm(*(Fraction(x).denominator for x in lam))
+    for variant in ("orig", "v2"):
+        got = _prepare_enumeration(rs, levi, lam, variant, DEFAULT_TERM_CAP)
+        assert got == _fraction_enumeration(rs, levi, lam, variant)
+        assert {type(x) for x in got[0]} <= {int}
+        assert type(got[3]) is Fraction
+
+
 def test_lambda_degenerate_error():
     case = GroupCase.sp(2)
     with pytest.raises(LambdaDegenerateError):
@@ -579,6 +617,17 @@ def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
     monkeypatch.setattr(constants, "_open", counted)
     _sum_heavy(generic=False)
     assert sum(opened) <= 1558
+
+
+def test_the_zero_share_is_over_the_pairs_of_values():
+    # found by search.  After root 0, roots 1 and 2 each finish a coordinate.
+    # Root 2 finishes v_1, which runs over {-2, -1, 0} and is zero on 1 of
+    # its 3 values; root 1 finishes v_0 + v_2, over {0, -1} x {-1, 0} and
+    # zero on 1 of its 4 pairs, so root 2 goes first.  Over len(left) +
+    # len(right) values both shares read 1/4, and the tie takes root 1.
+    base, deltas = (0, -1, -1), ((0, 1, 1), (-1, 0, 0), (0, -1, 0))
+    packed = ((2, 1, 2, 0), (1, 1, 1, 0), (0, 1, 2, 1))
+    assert _order(base, deltas, packed) == [0, 2, 1]
 
 
 def test_the_leaf_evaluates_each_digit_string_once(monkeypatch):
@@ -915,6 +964,24 @@ def test_a_run_sets_up_each_form_once(monkeypatch):
     # one root system and Levi, one P_{L&K} and one P_K
     assert calls == {"build_root_system": 1, "levi_data": 1,
                      "make_dim_poly": 2}
+
+
+@pytest.mark.parametrize("value", [0, None, (0, 0), 5])
+def test_a_run_computes_each_key_once_whatever_its_value(value):
+    # a falsy value is memoized like any other; outside a run nothing is
+    calls = []
+
+    def compute():
+        calls.append(value)
+        return value
+
+    for _ in range(2):
+        assert _in_run(("probe",), compute) == value
+    assert len(calls) == 2
+    with worker_pool():
+        for _ in range(3):
+            assert _in_run(("probe",), compute) == value
+    assert len(calls) == 3
 
 
 def test_nothing_is_set_up_for_longer_than_a_run(monkeypatch):

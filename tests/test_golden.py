@@ -29,6 +29,16 @@ COMMANDS = {
     "table-sp5-csv": ["table", "--group", "sp", "--n", "5", "--format", "csv"],
     "real-forms-so-odd-2-2-json": ["real-forms", "--group", "so-odd", "--p",
                                    "2", "--q", "2", "--format", "json"],
+    # one case per family besides so-odd: su with q > p, sp, so* with n odd
+    # and with n even, and so-even with p >= 2 (its type-D simple root),
+    # each as text and as json
+    **{f"real-forms-{name}{suffix}": ["real-forms", "--group", *argv, *extra]
+       for name, argv in (("su-2-3", ["su", "--p", "2", "--q", "3"]),
+                          ("sp-3", ["sp", "--n", "3"]),
+                          ("so-star-3", ["so-star", "--n", "3"]),
+                          ("so-star-4", ["so-star", "--n", "4"]),
+                          ("so-even-2-2", ["so-even", "--p", "2", "--q", "2"]))
+       for suffix, extra in (("", []), ("-json", ["--format", "json"]))},
     "constant-so-even-2-3-json": ["constant", "--group", "so-even", "--p", "2",
                                   "--q", "3", "--format", "json"],
     "constant-so-odd-3-3-workers2-json": ["constant", "--group", "so-odd",

@@ -6,6 +6,7 @@ from orbitconst import (GroupCase, build_root_system, half_sum,
                         make_dim_poly, negate, pair, type_a_positive_roots,
                         type_b_positive_roots, type_c_positive_roots,
                         type_d_positive_roots)
+from orbitconst.rootsys import pairings
 
 
 def test_an_unknown_family_is_refused():
@@ -105,6 +106,8 @@ def test_pair_examples():
     assert pair(rho_c, (1, -1)) == 1
     with pytest.raises(ValueError):
         pair((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        pairings((1, 2), [(1, 2), (1, 2, 3)])
 
 
 def test_pair_equals_the_fraction_sum_for_every_rational_input():
@@ -117,6 +120,8 @@ def test_pair_equals_the_fraction_sum_for_every_rational_input():
             assert type(got) is Fraction
             assert got == sum((Fraction(a) * b for a, b in zip(w, r)),
                               Fraction(0)), (w, r)
+        roots = [r[:len(w)] for r in ((1, -1, 0), (2, 0, 0), (0, 1, 1))]
+        assert pairings(w, roots) == tuple(pair(w, r) for r in roots)
 
 
 def test_half_sum_examples():

@@ -1,9 +1,9 @@
 """The package stays pure standard library: every module it imports is its
-own or ships with Python, every name a module imports is used there, every
-private module-level name is read somewhere in the package, no module
-memoizes with ``functools``' caches, one function refuses the term cap,
-one function, ``constants._subset_sum``, walks the kernel (``_walk``),
-one method, ``constants._Run.get``, constructs the run's
+own or ships with Python, every name a module imports is used there and
+bound nowhere else in it, every private module-level name is read somewhere
+in the package, no module memoizes with ``functools``' caches, one function
+refuses the term cap, one function, ``constants._subset_sum``, walks the
+kernel (``_walk``), one method, ``constants._Run.get``, constructs the run's
 ``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
 ``constants._subset_sum``, a criterion's whole sums, into the run's one
 memo, in ``verify._prewalk``), two functions write that memo
@@ -81,6 +81,30 @@ def test_every_imported_name_is_used():
               if path.name != "__init__.py"
               for name in _unused_imports(_tree(path))}
     assert unused == set()
+
+
+def _imports_bound_again(tree):
+    """Names one source file imports at module level and also binds, as a
+    variable or a parameter."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return imported & (bound | {node.arg for node in ast.walk(tree)
+                                if isinstance(node, ast.arg)})
+
+
+def test_no_module_binds_a_name_it_imports():
+    # CPython 3.11 compiles ``x.get(k)`` without its method-call fast path
+    # wherever the module imports a name ``x``, even where ``x`` is a
+    # local: an imported helper named ``pairs`` slowed the kernel's leaf,
+    # whose ``pairs.get`` then built a bound method per call, by 4-5% on
+    # heavy-generic's sums
+    bound = {(path.name, name) for path in SOURCES
+             for name in _imports_bound_again(_tree(path))}
+    assert bound == set()
 
 
 def test_every_private_module_name_is_read():
