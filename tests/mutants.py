@@ -57,8 +57,8 @@ MUTANTS = (
            "f0 = values.get(sub)", "f0 = values.clear()",
            ("tests/test_constants.py::"
             "test_the_leaf_evaluates_each_digit_string_once",)),
-    Mutant("root order without its zero-share tie", "rootorder.py",
-           "if len(tied) > 1 and zeroing:", "if False:",
+    Mutant("root order without its kept share", "rootorder.py",
+           "p *= kept  # kept share", "p *= pairs  # kept share",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
     Mutant("one _open memo shared by all positions", "constants.py",
@@ -96,9 +96,13 @@ MUTANTS = (
     Mutant("digit width too narrow", "constants.py",
            "width = (2 * bound + 1).bit_length()",
            "width = bound.bit_length()", (KERNEL,)),
-    Mutant("root order's zero-share tie turned to the fewest zeros",
-           "rootorder.py", "taken = max(tied, key=lambda ts: sum(",
-           "taken = min(tied, key=lambda ts: sum(",
+    Mutant("root order keeping the zero share, not 1 minus it",
+           "rootorder.py", "pending.append((pairs - zeros, pairs, i, j))",
+           "pending.append((zeros, pairs, i, j))",
+           ("tests/test_constants.py::"
+            "test_the_root_order_finishes_zeroing_factors_first",)),
+    Mutant("root order without its growth", "rootorder.py",
+           "p *= n + k  # growth", "p *= n  # growth",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
     Mutant("a second executor in _subset_sum", "constants.py",

@@ -605,8 +605,9 @@ def _sum_heavy(generic):
 
 def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
     # the order changes no total, only the work: at lambda_0 taking the
-    # tied coordinate whose finished factors zero the most classes opens
-    # 1,558 classes on these sums, and ties by coordinate alone open 2,641
+    # group of least predicted kept-state factor opens 1,184 classes on these
+    # sums; with the kept share dropped it opens 2,231, with the growth
+    # dropped 2,658, and fewest remaining roots first opened 1,558
     opened = []
 
     def counted(*args):
@@ -616,15 +617,33 @@ def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
 
     monkeypatch.setattr(constants, "_open", counted)
     _sum_heavy(generic=False)
-    assert sum(opened) <= 1558
+    assert sum(opened) <= 1184
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sums())
+def test_the_root_order_takes_whole_coordinates(data):
+    # a permutation, the same one each time, and the first step takes every
+    # root on the coordinate it finishes, so those roots lead the order
+    base, deltas, packed = data
+    order = _order(base, deltas, packed)
+    assert sorted(order) == list(range(len(deltas)))
+    assert _order(base, deltas, packed) == order
+    on = [{t for t, d in enumerate(deltas) if d[i]} for i in range(len(base))]
+    done = [1 + max(map(order.index, roots)) for roots in on if roots]
+    if done:
+        first = min(done)
+        assert set(order[:first]) in on
 
 
 def test_the_zero_share_is_over_the_pairs_of_values():
-    # found by search.  After root 0, roots 1 and 2 each finish a coordinate.
-    # Root 2 finishes v_1, which runs over {-2, -1, 0} and is zero on 1 of
-    # its 3 values; root 1 finishes v_0 + v_2, over {0, -1} x {-1, 0} and
-    # zero on 1 of its 4 pairs, so root 2 goes first.  Over len(left) +
-    # len(right) values both shares read 1/4, and the tie takes root 1.
+    # found by search.  v_1 runs over {-2, -1, 0} and v_2 over {-1, 0}, each
+    # zero on one value.  Roots 0 and 2 (v_1's) grow v_1 and v_2 by 3 * 2
+    # and keep 2/3 * 1/2 of the states; root 0 (v_2's) grows them by 2 * 2
+    # and keeps 1/2; root 1 (v_0's) grows v_0 by 2 and finishes no factor.
+    # All three factors read 2, and the tie takes roots 0 and 2.  Over
+    # len(left) + len(right) values the shares read 1/4 and 1/3, so roots 0
+    # and 2 read 6 * 3/4 * 2/3 = 3, root 0 reads 8/3, and root 1 goes first.
     base, deltas = (0, -1, -1), ((0, 1, 1), (-1, 0, 0), (0, -1, 0))
     packed = ((2, 1, 2, 0), (1, 1, 1, 0), (0, 1, 2, 1))
     assert _order(base, deltas, packed) == [0, 2, 1]
@@ -634,7 +653,7 @@ def test_the_leaf_evaluates_each_digit_string_once(monkeypatch):
     # at heavy-generic's lambda 53% of the terms are nonzero, and the leaf
     # reads each state's blocks at the state and at the state plus the last
     # root: filled from the values on each digit string, its pairs take
-    # 6,589 evaluations on these sums, and pairs evaluated afresh take 9,336
+    # 6,504 evaluations on these sums, and pairs evaluated afresh take 9,919
     calls = []
     factors = constants._factors
 
@@ -644,7 +663,7 @@ def test_the_leaf_evaluates_each_digit_string_once(monkeypatch):
 
     monkeypatch.setattr(constants, "_factors", counted)
     _sum_heavy(generic=True)
-    assert len(calls) <= 6589
+    assert len(calls) <= 6504
 
 
 def test_each_position_memoizes_its_own_factors_for_one_walk():
