@@ -1,8 +1,7 @@
 """Exact constants relating Dirac index polynomials to associated-cycle
 multiplicities, for real forms of classical nilpotent orbits."""
 
-# constants first: compiling it is the import's memory peak, lowest while
-# no other module is loaded
+from .closedform import closed_form_expr, constant_closed_form
 from .constants import (Evaluation, LambdaDegenerateError, LeviData,
                         NonIntegerQuotientError, OrthogonalityError,
                         TermCapExceeded, alternating_sum, auto_sign_relation,
@@ -10,7 +9,6 @@ from .constants import (Evaluation, LambdaDegenerateError, LeviData,
                         constant_brute_force_v2, default_lambda,
                         lambda_candidates, levi_data, levi_k_poly,
                         rho_n_orthogonal)
-from .closedform import closed_form_expr, constant_closed_form
 from .oracles import (SurvivingTerm, check_oracle_against_brute_force,
                       oracle_total_matches, shuffle_terms_so_star,
                       shuffle_terms_sp, shuffles, su_predicted_c,

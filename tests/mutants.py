@@ -44,40 +44,40 @@ SET_UP = ("tests/test_constants.py::"
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden"
 
 MUTANTS = (
-    Mutant("shift masked from the packed root", "constants.py",
+    Mutant("shift masked from the packed root", "kernel.py",
            "shifts = tuple(((key + last) & digits) - (key & digits)",
            "shifts = tuple((last & digits)", (KERNEL,)),
-    Mutant("shifted half added, not subtracted", "constants.py",
+    Mutant("shifted half added, not subtracted", "kernel.py",
            "part += signed * (here - there)",
            "part += signed * (here + there)", (KERNEL,)),
-    Mutant("nonzero terms counted once per state", "constants.py",
+    Mutant("nonzero terms counted once per state", "kernel.py",
            "nonzero += count * ((here != 0) + (there != 0))",
            "nonzero += count", (KERNEL,)),
-    Mutant("pairs evaluated afresh, with no value memo", "constants.py",
+    Mutant("pairs evaluated afresh, with no value memo", "kernel.py",
            "f0 = values.get(sub)", "f0 = values.clear()",
            ("tests/test_constants.py::"
             "test_the_leaf_evaluates_each_digit_string_once",)),
-    Mutant("root order without its kept share", "rootorder.py",
+    Mutant("root order without its kept share", "kernel.py",
            "p *= kept  # kept share", "p *= pairs  # kept share",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
-    Mutant("one _open memo shared by all positions", "constants.py",
+    Mutant("one _open memo shared by all positions", "kernel.py",
            "memos = [{} for _ in splits]", "memos = [{}] * len(splits)",
            ("tests/test_constants.py::"
             "test_each_position_memoizes_its_own_factors_for_one_walk",)),
     Mutant("a float literal", "constants.py",
            "scale = 2 * den", "scale = 2.0 * den",
            ("tests/test_stdlib_only.py::test_no_module_uses_a_float",)),
-    Mutant("no sign flip on the added root", "constants.py",
+    Mutant("no sign flip on the added root", "kernel.py",
            "out[new] = ((-signed, count) if old is None",
            "out[new] = ((signed, count) if old is None", (KERNEL,)),
-    Mutant("no sign flip on the root a split adds", "constants.py",
+    Mutant("no sign flip on the root a split adds", "kernel.py",
            "members[new] = ((-signed, count) if old is None",
            "members[new] = ((signed, count) if old is None", (KERNEL, SPLIT)),
     Mutant("the root a split adds overwriting the state it meets",
-           "constants.py", "old = members.get(new)", "old = None",
+           "kernel.py", "old = members.get(new)", "old = None",
            (KERNEL, SPLIT)),
-    Mutant("class scale not multiplied in", "constants.py",
+    Mutant("class scale not multiplied in", "kernel.py",
            "classes[key & cut] = {} if factor else False\n"
            "            if factor:\n"
            "                opened.append((members, pos, scale * factor))",
@@ -85,7 +85,7 @@ MUTANTS = (
            "            if factor:\n"
            "                opened.append((members, pos, scale))", (KERNEL,)),
     Mutant("class scale not multiplied in where a split adds its root",
-           "constants.py",
+           "kernel.py",
            "classes[new & cut] = {} if factor else False\n"
            "            if factor:\n"
            "                opened.append((members, pos, scale * factor))",
@@ -93,15 +93,15 @@ MUTANTS = (
            "            if factor:\n"
            "                opened.append((members, pos, scale))",
            (KERNEL, SPLIT)),
-    Mutant("digit width too narrow", "constants.py",
+    Mutant("digit width too narrow", "kernel.py",
            "width = (2 * bound + 1).bit_length()",
            "width = bound.bit_length()", (KERNEL,)),
     Mutant("root order keeping the zero share, not 1 minus it",
-           "rootorder.py", "pending.append((pairs - zeros, pairs, i, j))",
+           "kernel.py", "pending.append((pairs - zeros, pairs, i, j))",
            "pending.append((zeros, pairs, i, j))",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
-    Mutant("root order without its growth", "rootorder.py",
+    Mutant("root order without its growth", "kernel.py",
            "p *= n + k  # growth", "p *= n  # growth",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
@@ -124,27 +124,27 @@ MUTANTS = (
            '_in_run(("deltas", deltas), lambda: deltas)', "deltas",
            ("tests/test_verify.py::"
             "test_a_runs_sum_keys_hold_one_deltas_tuple_per_value",)),
-    Mutant("a zero-scale class kept", "constants.py",
+    Mutant("a zero-scale class kept", "kernel.py",
            "classes[key & cut] = {} if factor else False\n"
            "            if factor:\n",
            "classes[key & cut] = {} if factor else False\n"
            "            if True:\n", (KERNEL,)),
     Mutant("a zero-scale class kept where a split adds its root",
-           "constants.py",
+           "kernel.py",
            "classes[new & cut] = {} if factor else False\n"
            "            if factor:\n",
            "classes[new & cut] = {} if factor else False\n"
            "            if True:\n", (KERNEL, SPLIT)),
-    Mutant("a memo kept across walks", "constants.py",
+    Mutant("a memo kept across walks", "kernel.py",
            "memos = [{} for _ in splits]",
            'memos = _walk.__dict__.setdefault("memos", [{} for _ in range(64)])',
            ("tests/test_constants.py::"
             "test_each_position_memoizes_its_own_factors_for_one_walk",)),
-    Mutant("leaf memos kept across walks", "constants.py",
+    Mutant("leaf memos kept across walks", "kernel.py",
            "blocks = [(digits, shift, tests, {}, {}) for",
            "blocks = [(digits, shift, tests,"
            " *_walk.__dict__.setdefault(digits, ({}, {}))) for", (KERNEL,)),
-    Mutant("one pair of leaf memos shared by all blocks", "constants.py",
+    Mutant("one pair of leaf memos shared by all blocks", "kernel.py",
            "blocks = [(digits, shift, tests, {}, {}) for",
            "blocks = [(digits, shift, tests, *shared)"
            " for shared in [({}, {})] for", (KERNEL,)),
@@ -228,7 +228,7 @@ MUTANTS = (
            ("tests/test_constants.py::"
             "test_a_run_computes_each_key_once_whatever_its_value",)),
     Mutant("root order's zero share over len(left) + len(right)",
-           "rootorder.py", "len(left) * len(right)", "len(left) + len(right)",
+           "kernel.py", "len(left) * len(right)", "len(left) + len(right)",
            ("tests/test_constants.py::"
             "test_the_zero_share_is_over_the_pairs_of_values",)),
     Mutant("su tableau with q + p one-box rows", "orbits.py",

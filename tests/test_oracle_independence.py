@@ -10,7 +10,7 @@ from orbitconst import GroupCase, oracles
 from orbitconst.constants import _constant, worker_pool
 
 ORACLES = pathlib.Path(orbitconst.__file__).parent / "oracles.py"
-KERNEL = {"_plan", "_Plan", "rootorder", "_order", "_blocks", "_subset_sum",
+KERNEL = {"_plan", "_Plan", "kernel", "_order", "_blocks", "_subset_sum",
           "_open", "_walk", "_factors", "alternating_sum", "_sum_key",
           "_in_run", "_form_data", "_FormData"}
 

@@ -1,16 +1,18 @@
 """The package stays pure standard library: every module it imports is its
-own or ships with Python, every name a module imports is used there and
-bound nowhere else in it, every private module-level name is read somewhere
-in the package, no module memoizes with ``functools``' caches, one function
-refuses the term cap, one function, ``constants._subset_sum``, walks the
-kernel (``_walk``), one method, ``constants._Run.get``, constructs the run's
-``ProcessPoolExecutor``, two functions map work on it (a sum's classes in
-``constants._subset_sum``, a criterion's whole sums, into the run's one
-memo, in ``verify._prewalk``), two functions write that memo
-(``constants._in_run`` and ``verify._prewalk``), one function,
-``constants._processes``, reads the CPU count, one function,
-``weylpoly.make_dim_poly``, packs roots into factors (``_pack_roots``), and
-no module writes a float literal or reads ``float``."""
+own or ships with Python, ``kernel`` imports no module of the package (so
+imports go from ``constants`` to ``kernel``, never back), every name a
+module imports is used there and bound nowhere else in it, every private
+module-level name is read somewhere in the package, no module memoizes with
+``functools``' caches, one function refuses the term cap, one function,
+``constants._subset_sum``, walks the kernel (``kernel._walk``), one method,
+``constants._Run.get``, constructs the run's ``ProcessPoolExecutor``, two
+functions map work on it (a sum's classes in ``constants._subset_sum``, a
+criterion's whole sums, into the run's one memo, in ``verify._prewalk``),
+two functions write that memo (``constants._in_run`` and
+``verify._prewalk``), one function, ``constants._processes``, reads the CPU
+count, one function, ``weylpoly.make_dim_poly``, packs roots into factors
+(``_pack_roots``), and no module writes a float literal or reads
+``float``."""
 
 import ast
 import pathlib
@@ -73,6 +75,25 @@ def test_package_imports_only_the_standard_library():
                for name in _imported_modules(_tree(path))
                if name != "orbitconst" and name not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def _package_imports(tree):
+    """Modules of the package one source file imports, relatively or by
+    name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "orbitconst")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "orbitconst"):
+            yield "." * node.level + (node.module or "")
+
+
+def test_the_kernel_imports_nothing_of_the_package():
+    # constants imports the kernel to plan and walk each sum; an import back
+    # would make the two modules import each other
+    assert list(_package_imports(_tree(PACKAGE / "kernel.py"))) == []
+    assert ".kernel" in _package_imports(_tree(PACKAGE / "constants.py"))
 
 
 def test_every_imported_name_is_used():
