@@ -20,10 +20,10 @@ Evaluation is exact: weights are scaled to integer vectors, each subset term
 is an integer product, and the single division at the end is checked to be an
 exact integer.  ``kernel`` plans and walks the sum over subsets.
 The closed forms the constants are checked against are in ``closedform``.
-Worker processes get work in two deals: ``_subset_sum`` walks a sum's first
-roots here and deals the classes reached, scales included, so each state is
-walked once; ``verify`` maps ``_subset_sum`` over a criterion's whole sums,
-each walked serially, into the run's memo under ``_sum_key``'s key, where
+Worker processes get work by one rule, ``_deal``'s: ``_subset_sum`` walks a
+sum's first roots here and deals the classes reached, scales included, so
+each state is walked once; ``verify`` deals a criterion's whole sums, each
+walked serially, into the run's memo under ``_sum_key``'s key, where
 ``alternating_sum`` reads them.  Every part is an exact integer, so results
 are bit-identical for any worker count.  A ``worker_pool()`` block is one
 run: it holds the one executor its pooled work shares, which the outermost
@@ -229,18 +229,30 @@ def _processes(workers):
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
+def _deal(walk, shared, units: list, workers: int) -> list:
+    """(chunk, ``walk(shared, chunk)``) for ``units`` dealt round-robin by
+    position into min(workers, units) chunks: the one map of the run's
+    executor, one task per chunk.  A lone chunk is walked here, no pool."""
+    size = min(workers, len(units))
+    if size <= 1:
+        return [(units, walk(shared, units))]
+    chunks = [units[c::size] for c in range(size)]
+    with worker_pool() as run:
+        return list(zip(chunks, run.get(_processes(workers)).map(
+            walk, [shared] * size, chunks)))
+
+
 def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
                 packed: Sequence[tuple[int, int, int, int]],
                 workers: int = 1) -> tuple[int, int]:
     """Sum over subsets S of the pool of (-1)^#S times the product of the
     packed factors at base + sum(deltas[S]), and the number of nonzero terms.
 
-    The one place a sum is split.  A sum of at least 2^12 subsets is dealt
+    The one place a sum is split.  A sum of at least 2^12 subsets is split
     when ``_processes(workers)`` is more than one: it walks min(m,
-    workers.bit_length() + 2) of its m roots here and deals the frontier
-    classes, scales included, whole and round-robin into min(workers,
-    classes) chunks to the run's executor, so every state is walked once.
-    Any other sum, and a frontier of one class, is walked here.
+    workers.bit_length() + 2) of its m roots here and ``_deal``s the
+    frontier classes, scales included, whole, so every state is walked once.
+    Any other sum is walked here.
     """
     plan = _plan(base, deltas, packed)
     if plan is None:
@@ -250,16 +262,15 @@ def _subset_sum(base: Sequence[int], deltas: Sequence[Sequence[int]],
     depth = min(m, workers.bit_length() + 2) if processes > 1 else m
     total, nonzero, frontier = _walk(
         plan, _open(plan, {plan.base: (1, 1)}, 0, 1, {}), depth)
-    size = min(workers, len(frontier))
-    if size <= 1:
-        parts = [_walk(plan, frontier)]
-    else:
-        with worker_pool() as run:
-            parts = list(run.get(processes).map(
-                _walk, [plan] * size,
-                [frontier[w::size] for w in range(size)]))
-    return (total + sum(t for t, _, _ in parts),
-            nonzero + sum(n for _, n, _ in parts))
+    for _, (part, count, _) in _deal(_walk, plan, frontier, workers):
+        total, nonzero = total + part, nonzero + count
+    return total, nonzero
+
+
+def _walk_sums(_, keys: list) -> list[tuple[int, int]]:
+    """Each sum of ``keys`` (``_sum_key``'s), walked serially: a batch's
+    ``_deal`` walk, at module level so a worker can unpickle it."""
+    return [_subset_sum(*key[1:4]) for key in keys]
 
 
 def _scale_for(lam: Weight) -> int:

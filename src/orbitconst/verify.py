@@ -13,15 +13,15 @@ the pipeline in the run, the open ``constants.worker_pool()`` block, which
 also holds each form's record (root system, Levi data, P_{L&K}) and each
 case's P_K: the criteria of one run share them, each run computes its own.
 
-Pooled work is dealt in two ways.  A single sum deals its classes
-(``constants._subset_sum``).  Criteria 3 and 4 first collect the
-evaluations they will make, and ``_prewalk`` maps ``constants._subset_sum``
-on the run's executor over the sums among them that the run has not
-evaluated, whole, largest pool first, in chunks, into the run's memo under
-each sum's key, where each evaluation's ``alternating_sum`` reads its sum,
-so every evaluation still goes through ``cached_constant``.  Criterion 1
-stays one evaluation at a time: its sums at lambda_0 are few and pruned,
-and criteria 3 and 4 read them from the memo.
+Pooled work is dealt by one rule, ``constants._deal``'s, to two kinds of
+unit.  A single sum deals its classes (``constants._subset_sum``).  Criteria
+3 and 4 first collect the evaluations they will make, and ``_prewalk`` deals
+the sums among them that the run has not evaluated, whole, largest pool
+first, into the run's memo under each sum's key, where each evaluation's
+``alternating_sum`` reads its sum, so every evaluation still goes through
+``cached_constant``.  Criterion 1 stays one evaluation at a time: its sums
+at lambda_0 are few and pruned, and criteria 3 and 4 read them from the
+memo.
 """
 
 from __future__ import annotations
@@ -46,25 +46,20 @@ def cached_constant(case, form, lam, variant, term_cap, workers):
     return constants._in_run(key, lambda: constants._constant(*key))
 
 
-# Chunks per process in a batch: workers take the next chunk as they finish.
-_CHUNKS_PER_PROCESS = 8
-
-
 def _prewalk(evaluations, term_cap, workers) -> None:
-    """Walk, as one batch on the run's executor, the sums of ``evaluations``
-    ((case, form, lam, variant) each) that the open run has not evaluated.
+    """Walk, as one batch, the sums of ``evaluations`` ((case, form, lam,
+    variant) each) that the open run has not evaluated.
 
-    The sums' keys (``constants._sum_key``), largest pool first, go
-    round-robin into ``_CHUNKS_PER_PROCESS`` chunks per process of one map
-    of ``constants._subset_sum``, which walks each sum serially into the
-    run's memo under its key.  A sum that key refuses (``TermCapExceeded``,
-    or v2's ``OrthogonalityError``) is left out, so its evaluation raises as
-    it would have.  Outside a run, or at one process, nothing is walked here.
+    The sums' keys (``constants._sum_key``), largest pool first, are dealt
+    by ``constants._deal`` to ``constants._walk_sums``, which walks each sum
+    serially, into the run's memo under its key.  A sum that key refuses
+    (``TermCapExceeded``, or v2's ``OrthogonalityError``) is left out, so its
+    evaluation raises as it would have.  Outside a run, or at one process,
+    nothing is walked here.
     """
     constants._check_positive("workers", workers)
     run = constants._open_run.get()
-    processes = constants._processes(workers)
-    if run is None or processes == 1:
+    if run is None or constants._processes(workers) == 1:
         return
     keys = {}  # an ordered set
     for case, form, lam, variant in evaluations:
@@ -78,12 +73,9 @@ def _prewalk(evaluations, term_cap, workers) -> None:
             continue
         keys[key] = None
     keys = sorted(keys, key=lambda key: len(key[2]), reverse=True)
-    size = min(len(keys), _CHUNKS_PER_PROCESS * processes)
-    keys = [key for c in range(size) for key in keys[c::size]]
-    if keys:
-        run.memo.update(zip(keys, run.get(processes).map(
-            constants._subset_sum, *zip(*(key[1:4] for key in keys)),
-            chunksize=-(-len(keys) // size))))
+    for chunk, sums in constants._deal(constants._walk_sums, None, keys,
+                                       workers):
+        run.memo.update(zip(chunk, sums))
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:

@@ -48,9 +48,13 @@ def _pack_roots(roots: Sequence[Root]) -> tuple[tuple[int, int, int, int], ...]:
 
 def make_dim_poly(roots: Sequence[Root], rank: int) -> DimPoly:
     """Build the dimension polynomial of ``roots``.  Raises ValueError for a
-    root that packs into no factor, or when some <rho', alpha> vanishes,
-    which signals that the roots are not a valid positive system."""
+    root whose length is not ``rank`` or that packs into no factor, or when
+    some <rho', alpha> vanishes, which signals that the roots are not a
+    valid positive system."""
     roots = tuple(roots)
+    for r in roots:
+        if len(r) != rank:
+            raise ValueError(f"root {r} has length {len(r)}, not rank {rank}")
     factors = _pack_roots(roots)
     rho = half_sum(roots, rank)
     denoms = pairings(rho, roots)

@@ -42,6 +42,8 @@ SPLIT = ("tests/test_constants.py::"
 SET_UP = ("tests/test_constants.py::"
           "test_the_integer_set_up_matches_the_fraction_formulas")
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden"
+DEAL = ("tests/test_constants.py::"
+        "test_the_deal_is_round_robin_by_position_one_task_per_chunk")
 
 MUTANTS = (
     Mutant("shift masked from the packed root", "kernel.py",
@@ -105,11 +107,16 @@ MUTANTS = (
            "p *= n + k  # growth", "p *= n  # growth",
            ("tests/test_constants.py::"
             "test_the_root_order_finishes_zeroing_factors_first",)),
-    Mutant("a second executor in _subset_sum", "constants.py",
-           "parts = list(run.get(processes).map(",
-           "parts = list(ProcessPoolExecutor(processes).map(",
+    Mutant("a second executor in _deal", "constants.py",
+           "zip(chunks, run.get(_processes(workers)).map(",
+           "zip(chunks, ProcessPoolExecutor(_processes(workers)).map(",
            ("tests/test_stdlib_only.py::"
             "test_the_executor_is_constructed_in_one_place",)),
+    Mutant("overlapping chunks in _deal", "constants.py",
+           "chunks = [units[c::size] for c in range(size)]",
+           "chunks = [units[0::size] for c in range(size)]", (DEAL,)),
+    Mutant("two chunks walked in the calling process", "constants.py",
+           "if size <= 1:", "if size <= 2:", (DEAL,)),
     Mutant("workers dropped from the sum key", "constants.py",
            'return ("sum", base, deltas, packed, workers), prepared',
            'return ("sum", base, deltas, packed), prepared',

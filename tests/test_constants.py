@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import operator
 import pathlib
 import re
 from fractions import Fraction
@@ -622,18 +623,25 @@ def test_the_root_order_finishes_zeroing_factors_first(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(_sums())
+# one step takes every root on coordinate 0 and so also finishes coordinate
+# 1, whose one root is not the order's first
+@example(((0, 0), ((-2, 0), (-2, 0), (-2, -2), (-2, 0)), ((0, -2, 0, 0),) * 5))
 def test_the_root_order_takes_whole_coordinates(data):
-    # a permutation, the same one each time, and the first step takes every
-    # root on the coordinate it finishes, so those roots lead the order
+    # a permutation, the same one each time, that splits into consecutive
+    # steps, each the whole remaining root set of one coordinate, lowest
+    # first; ``ends`` holds the positions where such a split can end a step
     base, deltas, packed = data
     order = _order(base, deltas, packed)
     assert sorted(order) == list(range(len(deltas)))
     assert _order(base, deltas, packed) == order
-    on = [{t for t, d in enumerate(deltas) if d[i]} for i in range(len(base))]
-    done = [1 + max(map(order.index, roots)) for roots in on if roots]
-    if done:
-        first = min(done)
-        assert set(order[:first]) in on
+    ends = {0}
+    for at in range(len(order)):
+        if at in ends:
+            for i in range(len(base)):
+                step = sorted(t for t in order[at:] if deltas[t][i])
+                if step and order[at:at + len(step)] == step:
+                    ends.add(at + len(step))
+    assert len(order) in ends
 
 
 def test_the_zero_share_is_over_the_pairs_of_values():
@@ -843,6 +851,37 @@ def test_the_split_follows_workers_and_the_processes_the_cpus(monkeypatch):
     monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
     assert _subset_sum(base, deltas, packed, workers=8) == expected
     assert started == [2] and mapped == [8]
+
+
+def test_the_deal_is_round_robin_by_position_one_task_per_chunk(monkeypatch):
+    # units go by position into min(workers, units) chunks, each walked with
+    # the shared value as one task on the run's executor of _processes(
+    # workers) processes; at most one chunk is walked here, with no pool
+    started, mapped = [], []
+
+    class Recording(constants.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, shared, chunks):
+            mapped.append(len(chunks))
+            return super().map(fn, shared, chunks)
+
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
+    monkeypatch.setattr(constants, "ProcessPoolExecutor", Recording)
+    deal = constants._deal
+    with worker_pool() as run:
+        assert deal(operator.add, ["s"], [], 2) == [([], ["s"])]
+        assert deal(operator.add, ["s"], [5], 3) == [([5], ["s", 5])]
+        assert deal(operator.add, ["s"], [1, 2], 1) == [([1, 2], ["s", 1, 2])]
+        assert run.executor is None
+        assert deal(operator.add, ["s"], [0, 1, 2, 3, 4], 2) == [
+            ([0, 2, 4], ["s", 0, 2, 4]), ([1, 3], ["s", 1, 3])]
+        assert deal(operator.add, [], [0, 1, 2, 3, 4], 3) == [
+            ([0, 3], [0, 3]), ([1, 4], [1, 4]), ([2], [2])]
+    assert started == [2] and mapped == [2, 3]
+    assert multiprocessing.active_children() == []
 
 
 def _open_run_here(_):

@@ -5,14 +5,13 @@ module imports is used there and bound nowhere else in it, every private
 module-level name is read somewhere in the package, no module memoizes with
 ``functools``' caches, one function refuses the term cap, one function,
 ``constants._subset_sum``, walks the kernel (``kernel._walk``), one method,
-``constants._Run.get``, constructs the run's ``ProcessPoolExecutor``, two
-functions map work on it (a sum's classes in ``constants._subset_sum``, a
-criterion's whole sums, into the run's one memo, in ``verify._prewalk``),
-two functions write that memo (``constants._in_run`` and
-``verify._prewalk``), one function, ``constants._processes``, reads the CPU
-count, one function, ``weylpoly.make_dim_poly``, packs roots into factors
-(``_pack_roots``), and no module writes a float literal or reads
-``float``."""
+``constants._Run.get``, constructs the run's ``ProcessPoolExecutor``, one
+function, ``constants._deal``, maps work on it (a sum's classes and a
+criterion's whole sums alike), two functions write the run's one memo
+(``constants._in_run`` and ``verify._prewalk``), one function,
+``constants._processes``, reads the CPU count, one function,
+``weylpoly.make_dim_poly``, packs roots into factors (``_pack_roots``), and
+no module writes a float literal or reads ``float``."""
 
 import ast
 import pathlib
@@ -225,13 +224,12 @@ def test_the_executor_is_constructed_in_one_place():
     assert starts == [("constants.py", "_Run.get")]
 
 
-def test_the_run_executor_is_mapped_in_two_places():
-    # a sum deals its classes in one function, and a criterion its whole
-    # sums, into the run's memo, in another; a third map could deal work by a
-    # rule of its own
+def test_the_run_executor_is_mapped_in_one_place():
+    # a sum's classes and a criterion's whole sums are dealt by one rule; a
+    # second map could deal work by a rule of its own
     maps = [(path.name, name) for path in SOURCES
             for name in _calls(_tree(path), "map", methods_only=True)]
-    assert maps == [("constants.py", "_subset_sum"), ("verify.py", "_prewalk")]
+    assert maps == [("constants.py", "_deal")]
 
 
 def test_the_process_count_is_decided_in_one_place():

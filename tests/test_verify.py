@@ -211,16 +211,17 @@ def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
 
 
 def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
-    # criterion 3 deals its sums whole, in more than one chunk; an
-    # evaluation reads every sum in the run's memo, and the report, the
-    # evaluations and their subsets and nonzero terms are those of one worker
+    # criterion 3 deals its sums whole, in min(workers, sums) chunks, one
+    # task each; an evaluation reads every sum in the run's memo, and the
+    # report, the evaluations and their subsets and nonzero terms are those
+    # of one worker
     mapped, sums = [], collections.defaultdict(collections.Counter)
     add, memoized, read = constants.alternating_sum, constants._in_run, set()
 
     class Recording(constants.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1):
-            mapped.append((fn.__name__, len(iterables[0]), chunksize))
-            return super().map(fn, *iterables, chunksize=chunksize)
+        def map(self, fn, shared, chunks, chunksize=1):
+            mapped.append((fn.__name__, [len(c) for c in chunks], chunksize))
+            return super().map(fn, shared, chunks, chunksize=chunksize)
 
     def counted(*args):
         lhs, nonzero, subsets = add(*args)
@@ -243,10 +244,10 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
             assert _sums(run) and set(_sums(run)) <= read
     assert reports[0] == reports[1]
     assert sums[1] == sums[2] and sums[1]["calls"] > 0
-    # 88 sums in 8 chunks per process of 2: 15 chunks of up to 6 sums
-    assert mapped[0] == ("_subset_sum", 88, 6)
-    assert all(name == "_subset_sum" and sums > chunksize
-               for name, sums, chunksize in mapped)
+    # 88 sums in 2 chunks, one task each
+    assert mapped[0] == ("_walk_sums", [44, 44], 1)
+    assert all(name == "_walk_sums" and len(chunks) == 2 and chunksize == 1
+               for name, chunks, chunksize in mapped)
     assert multiprocessing.active_children() == []
 
 

@@ -44,6 +44,15 @@ def test_a_root_that_packs_into_no_factor_is_rejected(root):
         make_dim_poly([(1, 0, -1), root], 3)
 
 
+@pytest.mark.parametrize("root, rank", [((1, 0, -1), 2), ((1, -1), 3)])
+def test_a_root_of_another_length_than_the_rank_is_rejected(root, rank):
+    # a longer root made half_sum raise IndexError, and a shorter one made
+    # pairings raise a length mismatch that named no root
+    with pytest.raises(ValueError, match=re.escape(
+            f"root {root} has length {len(root)}, not rank {rank}")):
+        make_dim_poly([root], rank)
+
+
 def test_value_one_at_rho_prime():
     for roots, rank in ((type_b_positive_roots(3), 3),
                         (type_d_positive_roots(4), 4),
