@@ -22,15 +22,17 @@ exact integer.  ``kernel`` plans and walks the sum over subsets.
 The closed forms the constants are checked against are in ``closedform``.
 Worker processes get work by one rule, ``_deal``'s: ``_subset_sum`` walks a
 sum's first roots here and deals the classes reached, scales included, so
-each state is walked once; ``verify`` deals a criterion's whole sums, each
-walked serially, into the run's memo under ``_sum_key``'s key, where
-``alternating_sum`` reads them.  Every part is an exact integer, so results
-are bit-identical for any worker count.  A ``worker_pool()`` block is one
-run: it holds the one executor its pooled work shares, which the outermost
-block shuts down, and one memo that goes with it: its evaluations and sums,
-each sum's deltas once, each form's record (root system, Levi data,
-P_{L&K}) and each case's P_K.  A forked worker is in no run.  A sum outside
-any block opens one, and outside one nothing is memoized.
+each state is walked once; ``_prewalk`` deals, for a batch of evaluations
+(``verify``'s criteria 3 and 4), the whole sums whose ``_sum_key`` the run's
+memo does not hold, each walked serially, into the memo under that key,
+where ``alternating_sum`` reads them.  Only this module reads or writes the
+run's memo.  Every part is an exact integer, so results are bit-identical for
+any worker count.  A ``worker_pool()`` block is one run: it holds the one
+executor its pooled work shares, which the outermost block shuts down, and
+one memo that goes with it: its evaluations and sums, each sum's deltas
+once, each form's record (root system, Levi data, P_{L&K}) and each case's
+P_K.  A forked worker is in no run.  A sum outside any block opens one, and
+outside one nothing is memoized.
 """
 
 from __future__ import annotations
@@ -273,15 +275,11 @@ def _walk_sums(_, keys: list) -> list[tuple[int, int]]:
     return [_subset_sum(*key[1:4]) for key in keys]
 
 
-def _scale_for(lam: Weight) -> int:
-    """Twice the lcm of lam's denominators: it scales lam and rho_n(l), a
-    half sum of roots, to integers."""
-    return 2 * _integral(lam)[1]
-
-
 def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
                          variant: str, term_cap: int):
-    """Scaled base vector, per-root deltas and packed P_K numerator; first
+    """Scaled base vector, per-root deltas, packed P_K numerator, P_K's
+    denominator and the scale, twice the lcm of lam's denominators, which
+    scales lam and rho_n(l), a half sum of roots, to integers; first
     ``ValueError`` for an unknown ``variant``, then ``TermCapExceeded`` if
     the pool's 2^m subsets are over ``term_cap``."""
     if variant not in ("orig", "v2"):
@@ -290,7 +288,7 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     if count > term_cap:
         raise TermCapExceeded(count, term_cap)
     v, den = _integral(lam)
-    scale = 2 * den  # _scale_for(lam), which oracles divides by
+    scale = 2 * den
     base = [2 * x for x in v]
     if variant == "orig":
         base = [b - r.numerator * (scale // r.denominator)
@@ -302,7 +300,7 @@ def _prepare_enumeration(rs: RootSystem, levi: LeviData, lam: Weight,
     pk = _in_run(("P_K", rs.case),
                  lambda: make_dim_poly(rs.compact_positive, rs.case.rank))
     pk_denominator = scale ** len(pk.factors) * pk.norm
-    return tuple(base), tuple(deltas), pk.factors, pk_denominator
+    return tuple(base), tuple(deltas), pk.factors, pk_denominator, scale
 
 
 def _check_positive(name: str, value) -> None:
@@ -316,7 +314,7 @@ def _check_positive(name: str, value) -> None:
 def _sum_key(rs, levi, lam, variant, term_cap, workers):
     """The run's key for a sum's (total, nonzero), ("sum", base, deltas,
     packed, workers), on the run's one copy of the deltas, and
-    ``_prepare_enumeration``'s four values.  Refuses a ``workers`` or
+    ``_prepare_enumeration``'s five values.  Refuses a ``workers`` or
     ``term_cap`` that is not an int of at least 1, then v2 unless rho_n(l)
     is orthogonal to the compact Levi roots, then as ``_prepare_enumeration``
     does."""
@@ -325,10 +323,40 @@ def _sum_key(rs, levi, lam, variant, term_cap, workers):
     if variant == "v2" and not rho_n_orthogonal(levi):
         raise OrthogonalityError(
             "rho_n(l) is not orthogonal to the compact Levi roots")
-    base, deltas, packed, _ = prepared = _prepare_enumeration(
+    base, deltas, packed, *_ = prepared = _prepare_enumeration(
         rs, levi, lam, variant, term_cap)
     deltas = _in_run(("deltas", deltas), lambda: deltas)
     return ("sum", base, deltas, packed, workers), prepared
+
+
+def _prewalk(evaluations, term_cap, workers) -> None:
+    """Walk, as one batch, the sums of ``evaluations`` ((case, form, lam,
+    variant) each) that the open run does not hold.
+
+    A sum whose ``_sum_key`` the run's memo holds is left out, whichever
+    evaluation walked it, and so is one that key refuses
+    (``TermCapExceeded``, or v2's ``OrthogonalityError``), so its evaluation
+    raises as it would have.  The other keys are ``_deal``t, in the order
+    collected, to ``_walk_sums``, which walks each sum serially, and each
+    total goes into the memo under its key, where ``alternating_sum`` reads
+    it.  Outside a run, or at one process, nothing is walked here.
+    """
+    _check_positive("workers", workers)
+    run = _open_run.get()
+    if run is None or _processes(workers) == 1:
+        return
+    keys = {}  # an ordered set
+    for case, form, lam, variant in evaluations:
+        data = _form_data(case, form)
+        try:
+            key, _ = _sum_key(data.rs, data.levi, lam, variant, term_cap,
+                              workers)
+        except (OrthogonalityError, TermCapExceeded):
+            continue
+        if key not in run.memo:
+            keys[key] = None
+    for chunk, sums in _deal(_walk_sums, None, list(keys), workers):
+        run.memo.update(zip(chunk, sums))
 
 
 def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
@@ -338,7 +366,7 @@ def alternating_sum(rs: RootSystem, levi: LeviData, lam: Weight,
     number of nonzero terms, total term count).  Refuses as ``_sum_key``
     does.  The sum is memoized in the run under that key, where a batch may
     have put it; else ``workers`` splits it as ``_subset_sum`` decides."""
-    key, (base, deltas, packed, pk_denominator) = _sum_key(
+    key, (base, deltas, packed, pk_denominator, _) = _sum_key(
         rs, levi, lam, variant, term_cap, workers)
     total, nonzero = _in_run(
         key, lambda: _subset_sum(base, deltas, packed, workers))

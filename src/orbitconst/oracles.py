@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .constants import (DEFAULT_TERM_CAP, _check_positive,
-                        _prepare_enumeration, _scale_for, default_lambda,
+                        _prepare_enumeration, default_lambda,
                         levi_data, levi_k_poly)
 from .orbits import RealForm, get_form
 from .rootsys import GroupCase, Root, Weight, _e2, build_root_system
@@ -70,9 +70,8 @@ def surviving_terms(case: GroupCase, form: RealForm | int,
     pool = levi.delta_n_plus_l + levi.delta_p1
     n_a = len(levi.delta_n_plus_l)
     m = len(pool)
-    base, deltas, packed, pk_denominator = _prepare_enumeration(
+    base, deltas, packed, pk_denominator, scale = _prepare_enumeration(
         rs, levi, lam, variant, term_cap)
-    scale = _scale_for(lam)
     moves = [[(k, d) for k, d in enumerate(delta) if d] for delta in deltas]
     first = [m] * len(base)
     for t in reversed(range(m)):

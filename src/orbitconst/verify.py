@@ -13,15 +13,13 @@ the pipeline in the run, the open ``constants.worker_pool()`` block, which
 also holds each form's record (root system, Levi data, P_{L&K}) and each
 case's P_K: the criteria of one run share them, each run computes its own.
 
-Pooled work is dealt by one rule, ``constants._deal``'s, to two kinds of
-unit.  A single sum deals its classes (``constants._subset_sum``).  Criteria
-3 and 4 first collect the evaluations they will make, and ``_prewalk`` deals
-the sums among them that the run has not evaluated, whole, largest pool
-first, into the run's memo under each sum's key, where each evaluation's
-``alternating_sum`` reads its sum, so every evaluation still goes through
-``cached_constant``.  Criterion 1 stays one evaluation at a time: its sums
-at lambda_0 are few and pruned, and criteria 3 and 4 read them from the
-memo.
+Criteria 3 and 4 first collect the evaluations they will make and hand them
+to ``constants._prewalk``, which walks, as one pooled batch, the sums among
+them that the run does not hold; each evaluation still goes through
+``cached_constant`` and reads its sum from the run.  Criterion 1 stays one
+evaluation at a time: its sums at lambda_0 are few and pruned, and the batch
+leaves out every sum the run already holds.  Which sums the run holds, under
+which key, and how they are dealt, ``constants`` alone decides.
 """
 
 from __future__ import annotations
@@ -44,38 +42,6 @@ def cached_constant(case, form, lam, variant, term_cap, workers):
     outside one nothing is kept."""
     key = (case, form, lam, variant, term_cap, workers)
     return constants._in_run(key, lambda: constants._constant(*key))
-
-
-def _prewalk(evaluations, term_cap, workers) -> None:
-    """Walk, as one batch, the sums of ``evaluations`` ((case, form, lam,
-    variant) each) that the open run has not evaluated.
-
-    The sums' keys (``constants._sum_key``), largest pool first, are dealt
-    by ``constants._deal`` to ``constants._walk_sums``, which walks each sum
-    serially, into the run's memo under its key.  A sum that key refuses
-    (``TermCapExceeded``, or v2's ``OrthogonalityError``) is left out, so its
-    evaluation raises as it would have.  Outside a run, or at one process,
-    nothing is walked here.
-    """
-    constants._check_positive("workers", workers)
-    run = constants._open_run.get()
-    if run is None or constants._processes(workers) == 1:
-        return
-    keys = {}  # an ordered set
-    for case, form, lam, variant in evaluations:
-        if (case, form, lam, variant, term_cap, workers) in run.memo:
-            continue
-        data = constants._form_data(case, form)
-        try:
-            key, _ = constants._sum_key(data.rs, data.levi, lam, variant,
-                                        term_cap, workers)
-        except (OrthogonalityError, TermCapExceeded):
-            continue
-        keys[key] = None
-    keys = sorted(keys, key=lambda key: len(key[2]), reverse=True)
-    for chunk, sums in constants._deal(constants._walk_sums, None, keys,
-                                       workers):
-        run.memo.update(zip(chunk, sums))
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
@@ -181,8 +147,9 @@ def criterion_3(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1,
     """Three distinct evaluation points give one and the same integer."""
     lams = {(case, form): lambda_candidates(case, form, count=3, seed=seed)
             for case, form in _forms(acceptance_cases(max_rank))}
-    _prewalk([(case, form, lam, "orig") for (case, form), some in lams.items()
-              for lam in some], term_cap, workers)
+    constants._prewalk([(case, form, lam, "orig")
+                        for (case, form), some in lams.items()
+                        for lam in some], term_cap, workers)
 
     def check(case, form):
         values = {cached_constant(case, form, lam, "orig", term_cap,
@@ -204,8 +171,9 @@ def criterion_4(*, max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1) -> dict:
     """
     lams = {pair: default_lambda(*pair)
             for pair in _forms(acceptance_cases(max_rank))}
-    _prewalk([(case, form, lam, "v2") for (case, form), lam in lams.items()],
-             term_cap, workers)
+    constants._prewalk([(case, form, lam, "v2")
+                        for (case, form), lam in lams.items()],
+                       term_cap, workers)
 
     def check(case, form):
         lam = lams[case, form]

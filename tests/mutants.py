@@ -131,6 +131,13 @@ MUTANTS = (
            '_in_run(("deltas", deltas), lambda: deltas)', "deltas",
            ("tests/test_verify.py::"
             "test_a_runs_sum_keys_hold_one_deltas_tuple_per_value",)),
+    Mutant("the batch walks sums the memo holds", "constants.py",
+           "if key not in run.memo:", "if True:",
+           ("tests/test_verify.py::test_a_batch_walks_no_sum_the_run_holds",)),
+    Mutant("the batch writes no total", "constants.py",
+           "run.memo.update(zip(chunk, sums))", "pass",
+           ("tests/test_verify.py::"
+            "test_a_batch_keys_each_sum_on_what_fixes_it",)),
     Mutant("a zero-scale class kept", "kernel.py",
            "classes[key & cut] = {} if factor else False\n"
            "            if factor:\n",

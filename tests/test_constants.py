@@ -21,8 +21,8 @@ from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
                         rho_n_orthogonal)
 from orbitconst import constants, kernel, oracles
 from orbitconst.constants import (DEFAULT_TERM_CAP, _constant, _form_data,
-                                  _in_run, _prepare_enumeration, _scale_for,
-                                  _subset_sum, worker_pool)
+                                  _in_run, _prepare_enumeration, _subset_sum,
+                                  worker_pool)
 from orbitconst.kernel import _blocks, _open, _order, _plan, _walk
 from orbitconst.verify import acceptance_cases
 from orbitconst.weylpoly import _pack_roots
@@ -377,8 +377,9 @@ def test_an_unknown_variant_is_refused_before_the_cap():
 
 
 def _fraction_enumeration(rs, levi, lam, variant):
-    """``_prepare_enumeration``'s four values by the Fraction formulas: lam
-    and rho_n(l) scaled entry by entry."""
+    """``_prepare_enumeration``'s five values by the Fraction formulas: lam
+    and rho_n(l) scaled entry by entry, by twice the lcm of lam's
+    denominators."""
     scale = 2 * math.lcm(*(Fraction(x).denominator for x in lam), 1)
     base = [int(scale * Fraction(x)) for x in lam]
     if variant == "orig":
@@ -389,7 +390,7 @@ def _fraction_enumeration(rs, levi, lam, variant):
     deltas += [tuple(-scale * c for c in a) for a in levi.delta_p1]
     pk = make_dim_poly(rs.compact_positive, rs.case.rank)
     return (tuple(base), tuple(deltas), pk.factors,
-            Fraction(scale) ** len(pk.factors) * pk.norm)
+            Fraction(scale) ** len(pk.factors) * pk.norm, scale)
 
 
 _ENTRIES = st.one_of(st.integers(-9, 9),
@@ -405,10 +406,9 @@ def test_the_integer_set_up_matches_the_fraction_formulas(case_form, draw):
                                    max_size=case.rank)))
     rs = build_root_system(case)
     levi = levi_data(rs, form.h)
-    assert _scale_for(lam) == \
-        2 * math.lcm(*(Fraction(x).denominator for x in lam))
     for variant in ("orig", "v2"):
         got = _prepare_enumeration(rs, levi, lam, variant, DEFAULT_TERM_CAP)
+        assert got[4] == 2 * math.lcm(*(Fraction(x).denominator for x in lam))
         assert got == _fraction_enumeration(rs, levi, lam, variant)
         assert {type(x) for x in got[0]} <= {int}
         assert type(got[3]) is Fraction
@@ -716,7 +716,7 @@ def test_plan_tests_each_factor_once_where_it_finishes():
         for form in real_forms(case):
             levi = levi_data(rs, form.h)
             for variant in ("orig", "v2")[:1 + rho_n_orthogonal(levi)]:
-                base, deltas, packed, _ = _prepare_enumeration(
+                base, deltas, packed, *_ = _prepare_enumeration(
                     rs, levi, default_lambda(case, form), variant,
                     DEFAULT_TERM_CAP)
                 plan = _plan(base, deltas, packed)
@@ -751,7 +751,7 @@ def _sum_of_4096():
     case = GroupCase.so_odd(3, 3)
     rs = build_root_system(case)
     form = get_form(case, 1)
-    base, deltas, packed, _ = _prepare_enumeration(
+    base, deltas, packed, *_ = _prepare_enumeration(
         rs, levi_data(rs, form.h), default_lambda(case, form), "orig",
         DEFAULT_TERM_CAP)
     assert len(deltas) == 12
@@ -768,7 +768,7 @@ def test_one_prefix_class_is_summed_without_a_pool(monkeypatch):
     case = GroupCase.so_odd(2, 4)            # SO_e(4,9): form 3 has 2^14 subsets
     rs = build_root_system(case)
     form = get_form(case, 3)
-    base, deltas, packed, _ = _prepare_enumeration(
+    base, deltas, packed, *_ = _prepare_enumeration(
         rs, levi_data(rs, form.h), default_lambda(case, form), "v2",
         DEFAULT_TERM_CAP)
     assert len(deltas) == 14

@@ -69,7 +69,7 @@ def test_degree_count():
 
 def _raw_v2(rs, levi, lam):
     """The v2 sum at ``lam``, also where ``alternating_sum`` refuses it."""
-    base, deltas, packed, pk_denominator = _prepare_enumeration(
+    base, deltas, packed, pk_denominator, _ = _prepare_enumeration(
         rs, levi, lam, "v2", DEFAULT_TERM_CAP)
     total, _ = _subset_sum(base, deltas, packed)
     sign = (-1) ** (levi.big_n + len(levi.delta_n_plus_l))

@@ -11,8 +11,7 @@ from orbitconst import (GroupCase, alternating_sum, build_root_system,
                         shuffle_terms_so_star, shuffle_terms_sp, shuffles,
                         su_predicted_c, surviving_terms)
 from orbitconst import oracles
-from orbitconst.constants import (DEFAULT_TERM_CAP, _prepare_enumeration,
-                                  _scale_for)
+from orbitconst.constants import DEFAULT_TERM_CAP, _prepare_enumeration
 from orbitconst.oracles import SurvivingTerm, predicted_terms
 from orbitconst.verify import acceptance_cases
 
@@ -213,9 +212,8 @@ def _naive_surviving_terms(case, form, variant):
     levi = levi_data(rs, form.h)
     pool = levi.delta_n_plus_l + levi.delta_p1
     n_a, m = len(levi.delta_n_plus_l), len(pool)
-    base, deltas, packed, pk_denominator = _prepare_enumeration(
+    base, deltas, packed, pk_denominator, scale = _prepare_enumeration(
         rs, levi, lam, variant, DEFAULT_TERM_CAP)
-    scale = _scale_for(lam)
     out = []
     for bits in range(1 << m):
         chosen = [t for t in range(m) if (bits >> t) & 1]

@@ -8,7 +8,8 @@ module-level name is read somewhere in the package, no module memoizes with
 ``constants._Run.get``, constructs the run's ``ProcessPoolExecutor``, one
 function, ``constants._deal``, maps work on it (a sum's classes and a
 criterion's whole sums alike), two functions write the run's one memo
-(``constants._in_run`` and ``verify._prewalk``), one function,
+(``constants._in_run`` and ``constants._prewalk``), no module but
+``constants`` names the open run or its memo, one function,
 ``constants._processes``, reads the CPU count, one function,
 ``weylpoly.make_dim_poly``, packs roots into factors (``_pack_roots``), and
 no module writes a float literal or reads ``float``."""
@@ -271,7 +272,20 @@ def test_the_run_memo_is_written_in_two_places():
     # file a value under a key no reader builds
     writes = [(path.name, name) for path in SOURCES
               for name in _memo_writes(_tree(path))]
-    assert writes == [("constants.py", "_in_run"), ("verify.py", "_prewalk")]
+    assert writes == [("constants.py", "_in_run"),
+                      ("constants.py", "_prewalk")]
+
+
+def test_the_run_is_named_only_in_constants():
+    # one module decides what the run holds, under which key and how it is
+    # dealt; a module that read the open run or its memo could skip or file
+    # a sum by a key of its own
+    named = {(path.name, node.id if isinstance(node, ast.Name) else node.attr)
+             for path in SOURCES for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.Name) and node.id == "_open_run")
+             or (isinstance(node, ast.Attribute)
+                 and node.attr in ("_open_run", "memo"))}
+    assert named == {("constants.py", "_open_run"), ("constants.py", "memo")}
 
 
 def test_roots_are_packed_in_one_place():

@@ -1,8 +1,8 @@
 """The memo a run keeps for its criteria, the forms they skip over the term
 cap, what criterion 7 enumerates, the one executor a run shares, the batch
 that deals criteria 3 and 4's sums whole into the run's memo on one copy of
-each sum's deltas, and that each check of a criterion can fail, naming its
-witness."""
+each sum's deltas and leaves out every sum the run holds, and that each
+check of a criterion can fail, naming its witness."""
 
 import collections
 import dataclasses
@@ -197,8 +197,8 @@ def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
     alone = [constants._constant(case, form, lam, "orig", DEFAULT_TERM_CAP,
                                  1).lhs for case, form in forms]
     with constants.worker_pool() as run:
-        verify._prewalk([(case, form, lam, "orig") for case, form in forms],
-                        DEFAULT_TERM_CAP, 2)
+        constants._prewalk([(case, form, lam, "orig") for case, form in forms],
+                           DEFAULT_TERM_CAP, 2)
         walked = _sums(run)
         assert len(walked) == 2
         # each evaluation reads its batched total instead of a walk
@@ -208,6 +208,40 @@ def test_a_batch_keys_each_sum_on_what_fixes_it(monkeypatch):
                    for case, form in forms]
         assert _sums(run) == walked
     assert batched == alone
+
+
+def test_a_batch_walks_no_sum_the_run_holds(monkeypatch):
+    # with an empty A-pool the v2 sum at lambda_0 is the orig sum, under
+    # one key: once an orig evaluation has walked it, the batch of the v2
+    # sums leaves it out, whichever evaluation's key it would look up
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
+    forms = [(case, form) for case in verify.acceptance_cases(3)
+             for form in real_forms(case)
+             if constants._form_data(case, form).levi.delta_n_plus_l == ()]
+    assert len(forms) > 2
+    dealt, deal = [], constants._deal
+
+    def recorded(walk, shared, units, workers):
+        if walk is constants._walk_sums:
+            dealt.extend(units)
+        return deal(walk, shared, units, workers)
+
+    monkeypatch.setattr(constants, "_deal", recorded)
+    with constants.worker_pool() as run:
+        for case, form in forms:
+            verify.cached_constant(case, form, default_lambda(case, form),
+                                   "orig", DEFAULT_TERM_CAP, 2)
+        held = _sums(run)
+        constants._prewalk([(case, form, default_lambda(case, form), "v2")
+                            for case, form in forms], DEFAULT_TERM_CAP, 2)
+        assert dealt == []
+        assert _sums(run) == held
+        # and each v2 evaluation reads its sum from the run
+        monkeypatch.setattr(constants, "_subset_sum", None)
+        for case, form in forms:
+            verify.cached_constant(case, form, default_lambda(case, form),
+                                   "v2", DEFAULT_TERM_CAP, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
