@@ -8,10 +8,10 @@ that finishes it is added as the states are dealt (``_open``), so that
 position's dict is never built and a class is never filled with states its
 zero scale drops.  Each P_K factor ``weylpoly.make_dim_poly`` packs is
 tested in one place: where it finishes early, once per distinct digits at
-that position as a class opens, else per block of factors that share no
-coordinate, which the leaf reads at each state and at the state plus the
-last root, so the last position's dict is not built either; each memo lasts
-one walk (``_Plan``).
+that position as a class opens, else in one of the leaf's two blocks of
+factors that share no coordinate, which the leaf reads at each state and at
+the state plus the last root, so the last position's dict is not built
+either; each memo lasts one walk (``_Plan``).
 
 Roots are walked in the order ``_order`` reads from the sum.  The order
 changes no total or nonzero count, only the work: it decides where
@@ -40,10 +40,15 @@ class _Plan(NamedTuple):
     coordinates are all final after ``pos`` roots (and not after fewer), for
     pos < m, and the digits they read; ``finish[m]`` is empty.  ``_open``
     tests them once per distinct digits, not once per class, and drops a
-    class they zero before filling it.  ``blocks`` groups the factors that
-    only the last root finishes, with ``_blocks``, into blocks that share no
-    coordinate, and ``shifts[b]`` is the last root on block b's digits, so
-    ``_walk``'s leaf reads a block at k and at k plus the last root.
+    class they zero before filling it.  ``blocks`` is two blocks that share
+    no coordinate, (digits, tests) each, of the factors that only the last
+    root finishes, and ``shifts[b]`` is the last root on block b's digits,
+    so ``_walk``'s leaf reads a block at k and at k plus the last root.
+    Each such factor reads a coordinate of the last root, and a pool root
+    reads at most two, so ``_blocks`` finds at most two components; a third,
+    which only a last root on three or more coordinates could make, joins
+    the second, and a neutral block (no digits, no tests, product 1) stands
+    in for a missing one.
 
     A factor test (si, ci, sj, cj, target) gives the compact factor
     ci * v_i + cj * v_j of a key as ci * digit(si) + cj * digit(sj) - target,
@@ -55,8 +60,8 @@ class _Plan(NamedTuple):
     cut: tuple[int, ...]
     splits: tuple[bool, ...]
     finish: tuple[tuple, ...]
-    blocks: tuple[tuple[int, tuple], ...]
-    shifts: tuple[int, ...]
+    blocks: tuple[tuple[int, tuple], tuple[int, tuple]]
+    shifts: tuple[int, int]
     mask: int
 
 
@@ -97,7 +102,11 @@ def _plan(base: Sequence[int], deltas: Sequence[Sequence[int]],
                   for t in order)
     finish = tuple((sum({mask << s for t in tests for s in (t[0], t[2])}),
                     tuple(tests)) for tests in finish)
-    blocks = _blocks(live, mask)
+    # two blocks (see ``_Plan``): a third joins the second, and a neutral
+    # block stands in for a missing one
+    first, *rest = _blocks(live, mask) or ((0, ()),)
+    blocks = (first, (sum(digits for digits, _ in rest),
+                      tuple(t for _, tests in rest for t in tests)))
     # the last root on each block's digits; ``last & digits`` is wrong where
     # the root has a negative entry, which borrows from the digits above it
     last = steps[-1] if steps else 0
@@ -258,6 +267,23 @@ def _factors(tests: tuple, key: int, mask: int) -> int:
     return out
 
 
+def _pair(tests: tuple, sub: int, shift: int, values: dict, mask: int,
+          fold: int) -> tuple[int, int]:
+    """A leaf block's (F(k), F(k + last)) at its digits ``sub`` of a state
+    k, each value read from or put into ``values``, the block's memo on
+    digits; without a last root to fold in, F(k + last) reads 0."""
+    f0 = values.get(sub)
+    if f0 is None:
+        f0 = values[sub] = _factors(tests, sub, mask)
+    if not fold:
+        return f0, 0
+    moved = sub + shift
+    f1 = values.get(moved)
+    if f1 is None:
+        f1 = values[moved] = _factors(tests, moved, mask)
+    return f0, f1
+
+
 def _walk(plan: _Plan, stack: list,
           stop: int | None = None) -> tuple[int, int, list]:
     """Walk the classes on ``stack`` to root ``stop``, by default the last,
@@ -269,20 +295,25 @@ def _walk(plan: _Plan, stack: list,
     root stops one root short: the leaf reads each state k at k and at k
     plus the last root, whose subsets have the opposite sign, so a class
     adds its scale times the sum of its states' signed * (F(k) - F(k +
-    last)), F the product of the blocks, and the last position's dict is
-    never built.  Each block memoizes, for this call, its value on its
-    digits, so each digit string is evaluated once, and the pair of values
-    at a state's digits, so a state reads both in one lookup.
-    A zero product is not a nonzero term.  With no roots the leaf reads the
-    base alone.  Returns (total, nonzero-term count, frontier): the frontier
-    holds the classes that stop short of the last root.
+    last)), F = F_1 * F_2 the product of the plan's two blocks, and the
+    last position's dict is never built.  Each block memoizes, for this
+    call, its value on its digits, so each digit string is evaluated once,
+    and the pair of values at a state's digits (``_pair``), so a state reads
+    both in one lookup; a state whose first pair is (0, 0) is skipped before
+    the second block is read.  A zero product is not a nonzero term.  With
+    no roots the leaf reads the base alone: F(k + last) reads 0.  Returns
+    (total, nonzero-term count, frontier): the frontier holds the classes
+    that stop short of the last root.
     """
     steps, splits, mask = plan.steps, plan.splits, plan.mask
     m = len(steps)
     stop = m if stop is None else stop
     fold = int(0 < stop == m)  # 1 where the leaf reads the last root
-    blocks = [(digits, shift, tests, {}, {}) for (digits, tests), shift
-              in zip(plan.blocks, plan.shifts)]
+    (digits1, tests1), (digits2, tests2) = plan.blocks
+    shift1, shift2 = plan.shifts
+    # a neutral block's one value is known: it reads no digits, product 1
+    values1, values2 = ({} if tests else {0: 1} for _, tests in plan.blocks)
+    pairs1, pairs2 = {}, {}
     memos = [{} for _ in splits]
     total = nonzero = 0
     frontier = []
@@ -309,25 +340,22 @@ def _walk(plan: _Plan, stack: list,
                 continue
             part = 0
             for key, (signed, count) in states.items():
-                here, there = 1, fold  # F(k), and F(k + last) if any
-                for digits, shift, tests, pairs, values in blocks:
-                    sub = key & digits
-                    pair = pairs.get(sub)
-                    if pair is None:
-                        f0 = values.get(sub)
-                        if f0 is None:
-                            f0 = values[sub] = _factors(tests, sub, mask)
-                        moved = sub + shift
-                        f1 = values.get(moved)
-                        if f1 is None:
-                            f1 = values[moved] = _factors(tests, moved, mask)
-                        pair = pairs[sub] = (f0, f1)
-                    here *= pair[0]
-                    there *= pair[1]
-                    if not (here or there):
-                        break
-                else:
-                    nonzero += count * ((here != 0) + (there != 0))
-                    part += signed * (here - there)
+                sub = key & digits1
+                pair = pairs1.get(sub)
+                if pair is None:
+                    pair = pairs1[sub] = _pair(tests1, sub, shift1, values1,
+                                               mask, fold)
+                here, there = pair  # F_1(k), and F_1(k + last) if any
+                if not (here or there):
+                    continue
+                sub = key & digits2
+                pair = pairs2.get(sub)
+                if pair is None:
+                    pair = pairs2[sub] = _pair(tests2, sub, shift2, values2,
+                                               mask, fold)
+                here *= pair[0]
+                there *= pair[1]
+                nonzero += count * ((here != 0) + (there != 0))
+                part += signed * (here - there)
             total += part * scale
     return total, nonzero, frontier

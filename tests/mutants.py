@@ -155,13 +155,17 @@ MUTANTS = (
            ("tests/test_constants.py::"
             "test_each_position_memoizes_its_own_factors_for_one_walk",)),
     Mutant("leaf memos kept across walks", "kernel.py",
-           "blocks = [(digits, shift, tests, {}, {}) for",
-           "blocks = [(digits, shift, tests,"
-           " *_walk.__dict__.setdefault(digits, ({}, {}))) for", (KERNEL,)),
-    Mutant("one pair of leaf memos shared by all blocks", "kernel.py",
-           "blocks = [(digits, shift, tests, {}, {}) for",
-           "blocks = [(digits, shift, tests, *shared)"
-           " for shared in [({}, {})] for", (KERNEL,)),
+           "pairs1, pairs2 = {}, {}",
+           "pairs1, pairs2 = (_walk.__dict__.setdefault(digits, {})"
+           " for digits in (digits1, digits2))", (KERNEL,)),
+    Mutant("one value memo shared by both leaf blocks", "kernel.py",
+           "values1, values2 = ({} if tests else {0: 1}"
+           " for _, tests in plan.blocks)",
+           "values1 = values2 = {}", (KERNEL,)),
+    Mutant("the shifted half counted with no last root", "kernel.py",
+           "    if not fold:\n        return f0, 0\n", "",
+           ("tests/test_constants.py::"
+            "test_a_sum_with_no_roots_reads_its_base_alone",)),
     Mutant("auto_sign_relation without the flipped-root parity",
            "constants.py",
            "return (-1) ** (flipped + one.levi.big_n + two.levi.big_n)",

@@ -4,6 +4,7 @@ import multiprocessing
 import operator
 import pathlib
 import re
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from orbitconst import (Evaluation, GroupCase, LambdaDegenerateError,
                         flip, get_form, lambda_candidates, levi_data,
                         levi_k_poly, make_dim_poly, real_forms,
                         rho_n_orthogonal)
-from orbitconst import constants, kernel, oracles
+from orbitconst import constants, kernel, oracles, verify
 from orbitconst.constants import (DEFAULT_TERM_CAP, _constant, _form_data,
                                   _in_run, _prepare_enumeration, _subset_sum,
                                   worker_pool)
@@ -800,6 +801,67 @@ def test_blocks_share_no_coordinate():
             assert all(digits & other == 0 for other, _ in blocks[n + 1:])
 
 
+def _unmerged(plan):
+    """Whether each of the plan's two leaf blocks is one component or
+    neutral, so no third component was merged into the second."""
+    return all(len(_blocks(tests, plan.mask)) <= 1
+               for _, tests in plan.blocks)
+
+
+def test_the_leaf_blocks_need_no_merge(monkeypatch):
+    # each live factor reads a coordinate of the last root, and every pool
+    # root reads at most two: the seed-0 sweep's plans, and those of the
+    # larger pools of SO_e(8,10) I and III, Sp(16,R) and SO*(16), planned
+    # without a walk, each have at most two leaf components
+    plans = []
+
+    def recorded(*args):
+        plan = kernel._plan(*args)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(constants, "_plan", recorded)
+    verify.run_all(workers=1, skip_determinism=True)
+    assert len(plans) > 300
+    for case, forms in ((GroupCase.so_even(4, 5), (1, 3)),
+                        (GroupCase.sp(8), None), (GroupCase.so_star(8), None)):
+        rs = build_root_system(case)
+        for form in forms or [f.index for f in real_forms(case)]:
+            levi = levi_data(rs, get_form(case, form).h)
+            for lam in (default_lambda(case, form),
+                        lambda_candidates(case, form, count=2, seed=0)[1]):
+                base, deltas, packed, *_ = _prepare_enumeration(
+                    rs, levi, lam, "orig", 1 << 26)
+                plans.append(_plan(base, deltas, packed))
+    assert [p for p in plans if p is not None and not _unmerged(p)] == []
+
+
+def test_a_last_root_on_three_coordinates_merges_two_blocks():
+    # v_1, 2 v_2, and v_0 with v_0 +- v_3 are three components that only
+    # the last root, e_0 + e_1 - e_2, finishes: the third joins the second
+    base, deltas = (3, 1, 2, 0), ((0, 0, 0, 1), (1, 1, -1, 0), (0, 0, 0, -2))
+    packed = ((0, 1, 0, 0), (1, 1, 1, 0), (2, 2, 2, 0), (0, 1, 3, 1),
+              (0, 1, 3, -1))
+    plan = _plan(base, deltas, packed)
+    assert sorted(len(_blocks(tests, plan.mask))
+                  for _, tests in plan.blocks) == [1, 2]
+    assert _subset_sum(base, deltas, packed) == \
+        _naive_sum(base, deltas, packed) == (-16, 8)
+
+
+def test_a_sum_with_no_roots_reads_its_base_alone():
+    # SU(2,2) forms 1 and 3 have empty pools at lambda_0: the leaf reads
+    # the base, with no shifted half, and c = 1
+    case = GroupCase.su(2, 2)
+    for index in (1, 3):
+        data = _form_data(case, index)
+        assert _prepare_enumeration(
+            data.rs, data.levi, default_lambda(case, index), "orig",
+            DEFAULT_TERM_CAP)[1] == ()
+        assert _constant(case, index, None, "orig", DEFAULT_TERM_CAP,
+                         1).constant == constant_closed_form(case, index) == 1
+
+
 def test_one_cpu_sums_without_a_pool(monkeypatch):
     base, deltas, packed = _sum_of_4096()
     expected = _subset_sum(base, deltas, packed)
@@ -887,6 +949,34 @@ def test_the_deal_is_round_robin_by_position_one_task_per_chunk(monkeypatch):
 def _open_run_here(_):
     run = constants._open_run.get()
     return None if run is None else (type(run).__name__, len(run.memo))
+
+
+def test_pooled_work_unpickles_in_a_spawned_worker():
+    # a spawned worker imports the package afresh and unpickles what the
+    # pool hands it: the kernel's plan and walk with a sum's frontier
+    # classes, and the batch's walk with its sum keys
+    base, deltas, packed = _sum_of_4096()
+    plan = _plan(base, deltas, packed)
+    total, nonzero, frontier = _walk(plan, _start(plan), 4)
+    case = GroupCase.su(2, 3)
+    keys = []
+    for form in real_forms(case):
+        data = _form_data(case, form)
+        keys.append(constants._sum_key(
+            data.rs, data.levi, default_lambda(case, form), "orig",
+            DEFAULT_TERM_CAP, 1)[0])
+    with ProcessPoolExecutor(
+            2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        parts = list(pool.map(_walk, [plan] * 2,
+                              [frontier[c::2] for c in range(2)]))
+        sums = list(pool.map(constants._walk_sums, [None] * 2,
+                             [keys[c::2] for c in range(2)]))
+    assert multiprocessing.active_children() == []
+    assert (total + sum(part[0] for part in parts),
+            nonzero + sum(part[1] for part in parts)) == _subset_sum(
+                base, deltas, packed)
+    assert sums == [constants._walk_sums(None, keys[c::2]) for c in range(2)]
+    assert len(keys) > 2 and all(lhs for chunk in sums for lhs, _ in chunk)
 
 
 def test_pool_workers_run_outside_any_run():
