@@ -29,9 +29,9 @@ where ``alternating_sum`` reads them.  Only this module reads or writes the
 run's memo.  Every part is an exact integer, so results are bit-identical for
 any worker count.  A ``worker_pool()`` block is one run: it holds the one
 executor its pooled work shares, which the outermost block shuts down, and
-one memo that goes with it: its evaluations and sums, each sum's deltas
-once, each form's record (root system, Levi data, P_{L&K}) and each case's
-P_K.  A forked worker is in no run.  A sum outside any block opens one, and
+one memo that goes with it: each case's root system and P_K, each form's
+record (Levi data, P_{L&K}) and each sum, which evaluations read and never
+hold.  A forked worker is in no run.  A sum outside any block opens one, and
 outside one nothing is memoized.
 """
 
@@ -313,11 +313,10 @@ def _check_positive(name: str, value) -> None:
 
 def _sum_key(rs, levi, lam, variant, term_cap, workers):
     """The run's key for a sum's (total, nonzero), ("sum", base, deltas,
-    packed, workers), on the run's one copy of the deltas, and
-    ``_prepare_enumeration``'s five values.  Refuses a ``workers`` or
-    ``term_cap`` that is not an int of at least 1, then v2 unless rho_n(l)
-    is orthogonal to the compact Levi roots, then as ``_prepare_enumeration``
-    does."""
+    packed, workers), and ``_prepare_enumeration``'s five values.  Refuses
+    a ``workers`` or ``term_cap`` that is not an int of at least 1, then v2
+    unless rho_n(l) is orthogonal to the compact Levi roots, then as
+    ``_prepare_enumeration`` does."""
     _check_positive("workers", workers)
     _check_positive("term_cap", term_cap)
     if variant == "v2" and not rho_n_orthogonal(levi):
@@ -325,7 +324,6 @@ def _sum_key(rs, levi, lam, variant, term_cap, workers):
             "rho_n(l) is not orthogonal to the compact Levi roots")
     base, deltas, packed, *_ = prepared = _prepare_enumeration(
         rs, levi, lam, variant, term_cap)
-    deltas = _in_run(("deltas", deltas), lambda: deltas)
     return ("sum", base, deltas, packed, workers), prepared
 
 

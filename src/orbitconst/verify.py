@@ -8,10 +8,10 @@ and form kind.  Criteria 3, 4, 5 and 7 run one check per form through
 ``_over_forms``, which lists a form over the term cap under ``skipped``.
 ``run_all`` executes them in order and assembles a machine-readable report;
 the CLI ``verify`` command serializes it.
-Evaluations go through ``cached_constant``, memoized on every argument of
-the pipeline in the run, the open ``constants.worker_pool()`` block, which
-also holds each form's record (root system, Levi data, P_{L&K}) and each
-case's P_K: the criteria of one run share them, each run computes its own.
+Evaluations go through ``cached_constant``, unmemoized.  The run, the open
+``constants.worker_pool()`` block, memoizes what they read: each form's
+record, each case's P_K and each sum, so the criteria of one run walk a sum
+once and each run walks its own.
 
 Criteria 3 and 4 first collect the evaluations they will make and hand them
 to ``constants._prewalk``, which walks, as one pooled batch, the sums among
@@ -38,10 +38,10 @@ from .weylpoly import eval_dim_poly, make_dim_poly
 
 
 def cached_constant(case, form, lam, variant, term_cap, workers):
-    """``constants._constant``, memoized on every argument in the open run;
-    outside one nothing is kept."""
-    key = (case, form, lam, variant, term_cap, workers)
-    return constants._in_run(key, lambda: constants._constant(*key))
+    """``constants._constant``: the open run memoizes the form's record and
+    the sum it reads, not the evaluation.  The name marks the layer
+    ``bench/tracing.py`` times."""
+    return constants._constant(case, form, lam, variant, term_cap, workers)
 
 
 def acceptance_cases(max_rank: int | None = None) -> list[GroupCase]:
@@ -316,7 +316,7 @@ def run_all(max_rank=None, term_cap=DEFAULT_TERM_CAP, workers=1, seed=0,
     """Run every criterion; returns the full report dict.
 
     The run is one ``worker_pool()`` block: the criteria's pooled sums share
-    one executor and their evaluations one memo, which ends with the run.
+    one executor and their evaluations' reads one memo, which ends with it.
     """
     scope = {"max_rank": max_rank, "term_cap": term_cap}
     summed = {**scope, "workers": workers}

@@ -2,7 +2,7 @@
 
 A dimension polynomial is the product of <lambda, alpha> / <rho', alpha> over
 a fixed list of roots, with rho' half the sum of that list.  Its roots are
-packed once, and the kernel in ``constants`` reads the same factors.  A value
+packed once, and the kernel in ``kernel`` reads the same factors.  A value
 is one integer product at the weight scaled to integers, then one division.
 """
 

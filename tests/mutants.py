@@ -127,10 +127,11 @@ MUTANTS = (
            'return ("sum", base, deltas), prepared',
            ("tests/test_verify.py::"
             "test_a_batch_keys_each_sum_on_what_fixes_it",)),
-    Mutant("sum keyed on its own copy of the deltas", "constants.py",
-           '_in_run(("deltas", deltas), lambda: deltas)', "deltas",
+    Mutant("the sum memo bypassed in alternating_sum", "constants.py",
+           "total, nonzero = _in_run(",
+           "total, nonzero = (lambda key, compute: compute())(",
            ("tests/test_verify.py::"
-            "test_a_runs_sum_keys_hold_one_deltas_tuple_per_value",)),
+            "test_each_run_walks_afresh_and_shares_its_sums_within_itself",)),
     Mutant("the batch walks sums the memo holds", "constants.py",
            "if key not in run.memo:", "if True:",
            ("tests/test_verify.py::test_a_batch_walks_no_sum_the_run_holds",)),

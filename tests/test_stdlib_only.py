@@ -9,7 +9,7 @@ module-level name is read somewhere in the package, no module memoizes with
 function, ``constants._deal``, maps work on it (a sum's classes and a
 criterion's whole sums alike), two functions write the run's one memo
 (``constants._in_run`` and ``constants._prewalk``), no module but
-``constants`` names the open run or its memo, one function,
+``constants`` names the open run, its memo or ``_in_run``, one function,
 ``constants._processes``, reads the CPU count, one function,
 ``weylpoly.make_dim_poly``, packs roots into factors (``_pack_roots``), and
 no module writes a float literal or reads ``float``."""
@@ -278,14 +278,16 @@ def test_the_run_memo_is_written_in_two_places():
 
 def test_the_run_is_named_only_in_constants():
     # one module decides what the run holds, under which key and how it is
-    # dealt; a module that read the open run or its memo could skip or file
-    # a sum by a key of its own
+    # dealt; a module that read the open run or its memo, or filed a value
+    # through ``_in_run``, could skip or file a value by a key of its own
     named = {(path.name, node.id if isinstance(node, ast.Name) else node.attr)
              for path in SOURCES for node in ast.walk(_tree(path))
-             if (isinstance(node, ast.Name) and node.id == "_open_run")
+             if (isinstance(node, ast.Name)
+                 and node.id in ("_open_run", "_in_run"))
              or (isinstance(node, ast.Attribute)
-                 and node.attr in ("_open_run", "memo"))}
-    assert named == {("constants.py", "_open_run"), ("constants.py", "memo")}
+                 and node.attr in ("_open_run", "_in_run", "memo"))}
+    assert named == {("constants.py", "_open_run"), ("constants.py", "memo"),
+                     ("constants.py", "_in_run")}
 
 
 def test_roots_are_packed_in_one_place():

@@ -1,8 +1,8 @@
-"""The memo a run keeps for its criteria, the forms they skip over the term
-cap, what criterion 7 enumerates, the one executor a run shares, the batch
-that deals criteria 3 and 4's sums whole into the run's memo on one copy of
-each sum's deltas and leaves out every sum the run holds, and that each
-check of a criterion can fail, naming its witness."""
+"""The memo a run keeps for its criteria (form records and sums, not
+evaluations), the forms they skip over the term cap, what criterion 7
+enumerates, the one executor a run shares, the batch that deals criteria 3
+and 4's sums whole into the run's memo and leaves out every sum the run
+holds, and that each check of a criterion can fail, naming its witness."""
 
 import collections
 import dataclasses
@@ -46,30 +46,32 @@ def test_term_cap_is_honoured_after_a_full_cap_run():
     assert cold == warm == expected
 
 
-def test_each_run_evaluates_afresh_and_shares_within_itself(monkeypatch):
-    evaluations, lookups = [], []
-    evaluate, look_up = constants._constant, verify.cached_constant
+def test_each_run_walks_afresh_and_shares_its_sums_within_itself(
+        monkeypatch):
+    walks, evaluations = [], []
+    walk, evaluate = constants._subset_sum, verify.cached_constant
+
+    def walked(*args):
+        walks.append(args)
+        return walk(*args)
 
     def evaluated(*args):
         evaluations.append(args)
         return evaluate(*args)
 
-    def looked_up(*args):
-        lookups.append(args)
-        return look_up(*args)
-
-    monkeypatch.setattr(constants, "_constant", evaluated)
-    monkeypatch.setattr(verify, "cached_constant", looked_up)
+    monkeypatch.setattr(constants, "_subset_sum", walked)
+    monkeypatch.setattr(verify, "cached_constant", evaluated)
     counts = []
     for _ in range(2):
+        walks.clear()
         evaluations.clear()
-        lookups.clear()
         verify.run_all(max_rank=3, skip_determinism=True)
-        counts.append((len(lookups), len(evaluations)))
-    # the second run proves as much as the first: nothing is kept between
+        counts.append((len(evaluations), len(walks)))
+    # the second run walks as much as the first: nothing is kept between;
+    # within a run, evaluations that name one sum read a single walk of it
     assert counts[0] == counts[1]
-    looked, computed = counts[0]
-    assert looked > computed > 0
+    evaluated_once, walked_once = counts[0]
+    assert evaluated_once > walked_once > 0
 
 
 def test_criteria_3_and_4_list_the_forms_they_skip():
@@ -285,15 +287,16 @@ def test_a_batch_deals_whole_sums_and_changes_no_count(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_a_runs_sum_keys_hold_one_deltas_tuple_per_value():
-    # the lambdas of a form at one scale share their deltas, and a run keeps
-    # one copy of each value for all the sums that name it, in the batch
-    # and one evaluation at a time alike
-    for workers in (1, 2):
-        with constants.worker_pool() as run:
-            verify.criterion_3(max_rank=3, workers=workers)
-            deltas = [key[2] for key in _sums(run)]
-        assert len({id(d) for d in deltas}) == len(set(deltas)) < len(deltas)
+def test_a_run_memoizes_form_records_and_sums_alone(monkeypatch):
+    # an evaluation reads its form's record and its sum from the run, so
+    # the memo holds those, the root systems and P_K they derive from, and
+    # no evaluation or key of another kind
+    monkeypatch.setattr(constants.os, "sched_getaffinity", lambda _: {0, 1})
+    with constants.worker_pool() as run:
+        verify.run_all(max_rank=4, workers=2, skip_determinism=True)
+        kinds = {key[0] for key in run.memo}
+    assert kinds == {"rs", "P_K", "form", "sum"}
+    assert multiprocessing.active_children() == []
 
 
 def _failed(result) -> list:
